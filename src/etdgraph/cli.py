@@ -18,7 +18,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from . import analytics, graphio, ingest, query, reason
 from .errors import EtdError, NotFound, PortInUse
 from .model import Iri, TimeInterval, TimePoint
-from .store import DEFAULT_BASE_IRI, Store
+from .store import DEFAULT_BASE_IRI, Effect, Store
 from .vocab import EntityKind
 
 DEFAULT_AUTHORITY_IRI = "http://example.org/etd/authority"
@@ -197,6 +197,8 @@ def _cmd_ingest(args) -> int:
         fh.write(graphio.export_quads(store))
     print(f"records\t{report.records_parsed}")
     print(f"triples\t{report.triples_emitted}")
+    for effect in Effect:
+        print(f"{effect.value}\t{report.effects[effect]}")
     for warning in report.warnings:
         print(f"warning\t{warning}")
     return 0

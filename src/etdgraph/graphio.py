@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 from .errors import DanglingContext, NotFound, QuadParseError
 from .model import (
+    ALWAYS,
     Datatype,
     Iri,
     Literal,
@@ -143,7 +144,9 @@ def export_quads(store: Store) -> str:
 # -- import -------------------------------------------------------------------
 
 
-def _lex_quad_line(line: str, lineno: int) -> list:
+def _lex_quad_line(line: str, lineno: int, iris: dict[str, Iri]) -> list:
+    """Terms of one line; `iris` maps IRI text already seen to its Iri, so
+    every occurrence of one text shares one object."""
     terms = []
     i = 0
     n = len(line)
@@ -160,7 +163,11 @@ def _lex_quad_line(line: str, lineno: int) -> list:
             end = line.find(">", i)
             if end < 0:
                 raise QuadParseError(lineno, "unterminated IRI")
-            terms.append(Iri(line[i + 1 : end]))
+            text = line[i + 1 : end]
+            iri = iris.get(text)
+            if iri is None:
+                iri = iris[text] = Iri(text)
+            terms.append(iri)
             i = end + 1
             continue
         if c == '"':
@@ -228,11 +235,12 @@ def import_quads(
     data: list[tuple[int, Iri, Iri, Iri | Literal, Iri]] = []
     contexts: dict[Iri, _ContextInfo] = {}
     meta_ns: str | None = None
+    iris: dict[str, Iri] = {}
 
     for lineno, raw in enumerate(text.split("\n"), start=1):
         if not raw.strip():
             continue
-        terms = _lex_quad_line(raw, lineno)
+        terms = _lex_quad_line(raw, lineno, iris)
         if len(terms) == 4:
             s, p, o, ctx = terms
             if not isinstance(s, Iri) or not isinstance(p, Iri) or not isinstance(ctx, Iri):
@@ -273,31 +281,31 @@ def import_quads(
         base = base_iri if isinstance(base_iri, Iri) else Iri(base_iri)
 
     store = Store(vocab, base) if base is not None else Store(vocab)
+    # one (validity, provenance) per context, built at its first data line
+    scopes: dict[Iri, tuple[Validity, ProvenanceTag]] = {}
     for lineno, s, p, o, ctx in data:
-        info = contexts.get(ctx)
-        if info is None or info.source is None or info.authority is None:
-            raise DanglingContext(
-                f"line {lineno}: context <{ctx}> has no complete metadata"
-            )
-        if info.valid_from is None and info.valid_to is None:
-            validity = Validity()
-        else:
-            validity = Validity.during(
-                TimeInterval(
-                    TimePoint.parse(info.valid_from) if info.valid_from else None,
-                    TimePoint.parse(info.valid_to) if info.valid_to else None,
-                )
-            )
-        store.insert(
-            TemporalTriple(
-                subject=s,
-                property=p,
-                object=o,
-                validity=validity,
-                provenance=ProvenanceTag(info.source, info.authority),
+        scope = scopes.get(ctx)
+        if scope is None:
+            scope = scopes[ctx] = _context_scope(contexts.get(ctx), ctx, lineno)
+        validity, provenance = scope
+        store.insert(TemporalTriple(s, p, o, validity, provenance))
+    return store
+
+
+def _context_scope(info: _ContextInfo | None, ctx: Iri,
+                   lineno: int) -> tuple[Validity, ProvenanceTag]:
+    if info is None or info.source is None or info.authority is None:
+        raise DanglingContext(f"line {lineno}: context <{ctx}> has no complete metadata")
+    if info.valid_from is None and info.valid_to is None:
+        validity = ALWAYS
+    else:
+        validity = Validity.during(
+            TimeInterval(
+                TimePoint.parse(info.valid_from) if info.valid_from else None,
+                TimePoint.parse(info.valid_to) if info.valid_to else None,
             )
         )
-    return store
+    return validity, ProvenanceTag(info.source, info.authority)
 
 
 # -- DOT export ---------------------------------------------------------------

@@ -15,6 +15,7 @@ IRIs; labels never participate in identity, so two bodies both named
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from urllib.parse import quote
 
@@ -40,7 +41,7 @@ from .model import (
     TimePoint,
     Validity,
 )
-from .store import DEFAULT_BASE_IRI, Store
+from .store import DEFAULT_BASE_IRI, Effect, Pattern, Store
 from .vocab import DEFAULT_VOCAB, CorporateBodySubkind, EntityKind
 
 RECORD_KINDS = ("person", "body", "work")
@@ -123,6 +124,8 @@ class IngestIssue:
 class IngestReport:
     records_parsed: int = 0
     triples_emitted: int = 0
+    # what storing each emitted triple did; the counts sum to triples_emitted
+    effects: Counter[Effect] = field(default_factory=Counter)
     warnings: list[str] = field(default_factory=list)
     errors: list[IngestIssue] = field(default_factory=list)
 
@@ -269,7 +272,7 @@ class _Builder:
         )
         for triple in self.triples:
             try:
-                store.insert(triple)
+                self.report.effects[store.insert(triple).effect] += 1
             except EtdError as exc:
                 self.report.errors.append(
                     IngestIssue(triple.provenance.source_record_id, 0, str(exc))
@@ -416,8 +419,6 @@ class _Builder:
             self._link(record, work, "relatedTo", f)
 
     def _grantor_warnings(self, store: Store):
-        from .store import Pattern  # local import keeps module load order simple
-
         university = CorporateBodySubkind.UNIVERSITY.value
         granted = store.match(Pattern(property=self.vocab.expand("degreeGrantedBy")))
         for t in granted:

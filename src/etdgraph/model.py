@@ -27,10 +27,19 @@ from .errors import (
 _IRI_SHAPE = re.compile(r"^https?://[^/?#]+")
 _LANG_TAG = re.compile(r"^[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})*$")
 _POINT_TEXT = re.compile(r"^(\d{4})(?:-(\d{2})(?:-(\d{2}))?)?$")
+_PLAIN_IRI_TEXT = re.compile(r"[\x21-\x24\x26-\x7e]*")  # printable ASCII except %
 _HEX = set("0123456789abcdefABCDEF")
 
 
 def _normalize_iri_text(text: str) -> str:
+    # Almost every IRI is printable ASCII without escapes and is already
+    # in normal form.
+    if _PLAIN_IRI_TEXT.fullmatch(text):
+        return text
+    return _normalize_iri_chars(text)
+
+
+def _normalize_iri_chars(text: str) -> str:
     # Uppercase existing %hh escapes, percent-encode raw non-ASCII bytes.
     out = []
     i = 0
@@ -191,24 +200,51 @@ def _adjacent(earlier_end: date, later_start: date) -> bool:
     return earlier_end != date.max and earlier_end + timedelta(days=1) == later_start
 
 
+def intervals_touch(a: TimeInterval, b: TimeInterval) -> bool:
+    """True iff the closed day ranges overlap or are day-adjacent."""
+    return (
+        intervals_overlap(a, b)
+        or _adjacent(a.last_day(), b.first_day())
+        or _adjacent(b.last_day(), a.first_day())
+    )
+
+
+def _precision(t: TimePoint) -> int:
+    return 1 if t.month is None else 2 if t.day is None else 3
+
+
+def _start_rank(t: TimePoint | None):
+    return (date.min, 0) if t is None else (t.first_day(), _precision(t))
+
+
+def _end_rank(t: TimePoint | None):
+    return (date.max, 0) if t is None else (t.last_day(), -_precision(t))
+
+
+def interval_hull(intervals) -> TimeInterval | None:
+    """Smallest interval covering every one of `intervals`, or None when
+    it would be unbounded on both sides.
+
+    Points of different precision can name the same boundary day
+    (1996, 1996-01 and 1996-01-01 all start on 1 January); the coarsest
+    wins, so the result does not depend on the order of `intervals`.
+    """
+    start = min((iv.start for iv in intervals), key=_start_rank)
+    end = max((iv.end for iv in intervals), key=_end_rank)
+    if start is None and end is None:
+        return None
+    return TimeInterval(start, end)
+
+
 def merge_if_coalescable(a: TimeInterval, b: TimeInterval) -> TimeInterval | None:
     """Union of a and b when they overlap or are day-adjacent, else None.
 
     A union that would be unbounded on both sides is not a representable
     interval, so such pairs are reported as not coalescable.
     """
-    mergeable = (
-        intervals_overlap(a, b)
-        or _adjacent(a.last_day(), b.first_day())
-        or _adjacent(b.last_day(), a.first_day())
-    )
-    if not mergeable:
+    if not intervals_touch(a, b):
         return None
-    start = a.start if a.first_day() <= b.first_day() else b.start
-    end = a.end if a.last_day() >= b.last_day() else b.end
-    if start is None and end is None:
-        return None
-    return TimeInterval(start, end)
+    return interval_hull((a, b))
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,12 @@
 
 Statements that agree on subject, property, object, and provenance but
 have overlapping or day-adjacent validity are coalesced into one row on
-insert, so the stored set is always canonical. Statements differing in
-provenance are kept apart deliberately: merging assertions from
-different sources would destroy the audit trail.
+insert, so the stored set is always canonical: any insert order gives
+the same rows. Rows that together cover every day become one unqualified
+row, except for memberships, which must keep an interval; such a
+membership stays split in two rows, and which two depends on the order.
+Statements differing in provenance are kept apart deliberately: merging
+assertions from different sources would destroy the audit trail.
 
 Concurrency contract: many readers or one writer. A store that is no
 longer mutated can be shared between threads as an immutable snapshot.
@@ -13,7 +16,8 @@ longer mutated can be shared between threads as an immutable snapshot.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import InvalidTriple, KindMismatch
@@ -26,6 +30,8 @@ from .model import (
     TimeInterval,
     TimePoint,
     Validity,
+    interval_hull,
+    intervals_touch,
     merge_if_coalescable,
     triple_sort_key,
 )
@@ -88,6 +94,64 @@ class InsertResult:
     validity: Validity | None = None  # resulting validity for COALESCED
 
 
+def _key(triple: TemporalTriple) -> tuple:
+    return (triple.subject, triple.property, triple.object, triple.provenance)
+
+
+def _requires_interval(pdef: PropertyDef) -> bool:
+    return pdef.frad_category is FradCategory.MEMBERSHIP and pdef.temporal_expected
+
+
+def _coalesce(
+    validity: Validity, rows: Sequence[TemporalTriple], pdef: PropertyDef
+) -> tuple[Validity, list[TemporalTriple]]:
+    """The validity a time-scoped statement takes in a key holding `rows`,
+    and the rows it absorbs."""
+    # Rows of one key never touch each other (only the two rows of a split
+    # membership may), so while the hull is representable, the rows the
+    # new interval touches are exactly the ones it joins into one.
+    interval = validity.interval
+    touching = [t for t in rows if intervals_touch(interval, t.validity.interval)]
+    if not touching:
+        return validity, touching
+    hull = interval_hull([interval] + [t.validity.interval for t in touching])
+    if hull is not None:
+        return Validity.during(hull), touching
+    if _requires_interval(pdef):
+        # Together the rows cover every day, which this property cannot
+        # state in one row: join what can be joined.
+        hull, joined = _join_greedily(interval, rows)
+        return Validity.during(hull), joined
+    # together the rows cover every day: an unqualified statement
+    return ALWAYS, list(rows)
+
+
+def _join_greedily(
+    interval: TimeInterval, rows: Sequence[TemporalTriple]
+) -> tuple[TimeInterval, list[TemporalTriple]]:
+    """Join `interval` with rows one at a time while the union stays
+    representable; which rows end up joined depends on their order. An
+    interval within one row is that row's duplicate."""
+    for existing in rows:
+        if Validity.during(interval).within(existing.validity.interval):
+            return existing.validity.interval, [existing]
+    merged = interval
+    absorbed = []
+    pool = list(rows)
+    changed = True
+    while changed:
+        changed = False
+        for existing in pool:
+            union = merge_if_coalescable(merged, existing.validity.interval)
+            if union is not None:
+                merged = union
+                absorbed.append(existing)
+                pool.remove(existing)
+                changed = True
+                break
+    return merged, absorbed
+
+
 def _passes(validity: Validity, constraint: TimeConstraint | None) -> bool:
     if constraint is None:
         return True
@@ -106,6 +170,8 @@ class Store:
         self._by_subject: dict[Iri, set[TemporalTriple]] = defaultdict(set)
         self._by_property: dict[Iri, set[TemporalTriple]] = defaultdict(set)
         self._by_object: dict[Iri | Literal, set[TemporalTriple]] = defaultdict(set)
+        # coalescing index: (subject, property, object, provenance) -> rows
+        self._by_key: dict[tuple, list[TemporalTriple]] = {}
         self._kinds: dict[Iri, EntityKind] = {}
 
     def __len__(self) -> int:
@@ -144,6 +210,7 @@ class Store:
             clone._by_property[key] = set(vals)
         for key, vals in self._by_object.items():
             clone._by_object[key] = set(vals)
+        clone._by_key = {key: list(rows) for key, rows in self._by_key.items()}
         clone._kinds = dict(self._kinds)
         return clone
 
@@ -152,59 +219,25 @@ class Store:
     def insert(self, triple: TemporalTriple) -> InsertResult:
         pdef = self.vocab.lookup_id(triple.property)
         self._validate(triple, pdef)
-
-        same_key = [
-            t
-            for t in self._by_subject.get(triple.subject, ())
-            if t.property == triple.property
-            and t.object == triple.object
-            and t.provenance == triple.provenance
-        ]
-
-        for existing in same_key:
-            if existing.validity.is_always:
-                # an unqualified statement subsumes any time-scoped repeat
-                return InsertResult(Effect.DUPLICATE)
-            if not triple.validity.is_always and triple.validity.within(
-                existing.validity.interval
-            ):
-                return InsertResult(Effect.DUPLICATE)
+        same_key = self._by_key.get(_key(triple), ())
+        if same_key and same_key[0].validity.is_always:
+            # an unqualified statement is the key's only row and subsumes
+            # any repeat
+            return InsertResult(Effect.DUPLICATE)
 
         if triple.validity.is_always:
-            for existing in same_key:
-                self._remove(existing)
+            validity, absorbed = ALWAYS, list(same_key)
+        else:
+            validity, absorbed = _coalesce(triple.validity, same_key, pdef)
+            if len(absorbed) == 1 and absorbed[0].validity == validity:
+                return InsertResult(Effect.DUPLICATE)
+        if not absorbed:
             self._add(triple, pdef)
-            if same_key:
-                return InsertResult(Effect.COALESCED, ALWAYS)
             return InsertResult(Effect.INSERTED)
-
-        merged = triple.validity.interval
-        absorbed = []
-        pool = list(same_key)
-        changed = True
-        while changed:
-            changed = False
-            for existing in pool:
-                union = merge_if_coalescable(merged, existing.validity.interval)
-                if union is not None:
-                    merged = union
-                    absorbed.append(existing)
-                    pool.remove(existing)
-                    changed = True
-                    break
         for existing in absorbed:
             self._remove(existing)
-        result = TemporalTriple(
-            subject=triple.subject,
-            property=triple.property,
-            object=triple.object,
-            validity=Validity.during(merged),
-            provenance=triple.provenance,
-        )
-        self._add(result, pdef)
-        if absorbed:
-            return InsertResult(Effect.COALESCED, result.validity)
-        return InsertResult(Effect.INSERTED)
+        self._add(replace(triple, validity=validity), pdef)
+        return InsertResult(Effect.COALESCED, validity)
 
     def _validate(self, triple: TemporalTriple, pdef: PropertyDef):
         if triple.derived:
@@ -215,11 +248,7 @@ class Store:
                 raise InvalidTriple(
                     f"{pdef.curie} takes an instant validity, got {triple.validity}"
                 )
-        if (
-            pdef.frad_category is FradCategory.MEMBERSHIP
-            and pdef.temporal_expected
-            and triple.validity.is_always
-        ):
+        if _requires_interval(pdef) and triple.validity.is_always:
             raise InvalidTriple(f"{pdef.curie} requires a validity interval")
 
         obj = triple.object
@@ -271,6 +300,7 @@ class Store:
 
     def _add(self, triple: TemporalTriple, pdef: PropertyDef):
         self._triples.add(triple)
+        self._by_key.setdefault(_key(triple), []).append(triple)
         self._by_subject[triple.subject].add(triple)
         self._by_property[triple.property].add(triple)
         self._by_object[triple.object].add(triple)
@@ -279,6 +309,11 @@ class Store:
 
     def _remove(self, triple: TemporalTriple):
         self._triples.discard(triple)
+        key = _key(triple)
+        rows = self._by_key[key]
+        rows.remove(triple)
+        if not rows:
+            del self._by_key[key]
         self._by_subject[triple.subject].discard(triple)
         self._by_property[triple.property].discard(triple)
         self._by_object[triple.object].discard(triple)

@@ -34,6 +34,21 @@ class TestIngest:
         assert "records\t12" in stdout
         assert out.exists()
 
+    def test_effect_counts_add_up_to_triples(self, tmp_path, capsys):
+        source = tmp_path / "n.etd"
+        source.write_text(fixture_text(), encoding="utf-8")
+        code, stdout, _ = run(capsys, [
+            "ingest", str(source), "--out", str(tmp_path / "n.tnq"), "--batch-date", "none",
+        ])
+        assert code == 0
+        lines = stdout.splitlines()
+        counts = dict(line.split("\t") for line in lines[1:5])
+        assert list(counts) == ["triples", "inserted", "coalesced", "duplicate"]
+        assert int(counts["triples"]) > 0
+        assert sum(int(counts[k]) for k in ("inserted", "coalesced", "duplicate")) == int(
+            counts["triples"]
+        )
+
     def test_batch_date_recorded_but_not_exported(self, tmp_path, capsys):
         source = tmp_path / "n.etd"
         source.write_text(fixture_text(), encoding="utf-8")

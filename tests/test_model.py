@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etdgraph.errors import InvalidDate, InvalidInterval, InvalidIri, InvalidLiteral
 from etdgraph.model import (
@@ -10,6 +12,8 @@ from etdgraph.model import (
     TimeInterval,
     TimePoint,
     Validity,
+    _normalize_iri_chars,
+    _normalize_iri_text,
     interval_contains,
     intervals_overlap,
     merge_if_coalescable,
@@ -137,6 +141,13 @@ class TestMerge:
         merged = merge_if_coalescable(iv(None, "1996"), iv("1995", "2001"))
         assert merged == iv(None, "2001")
 
+    def test_coarser_point_wins_a_shared_boundary_day(self):
+        a, b = iv("2000", "2003"), iv("2000-01", "2005-12-31")
+        assert merge_if_coalescable(a, b) == iv("2000", "2005-12-31")
+        assert merge_if_coalescable(b, a) == iv("2000", "2005-12-31")
+        c = iv("2001", "2005")
+        assert merge_if_coalescable(b, c) == merge_if_coalescable(c, b) == iv("2000-01", "2005")
+
 
 class TestIntervalProperties:
     """Seeded random checks against the day-set oracle."""
@@ -219,6 +230,31 @@ class TestIri:
     def test_rejects_malformed_escape(self):
         with pytest.raises(InvalidIri):
             Iri("http://x.org/a%zz")
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.characters(min_codepoint=0x21, max_codepoint=0x7E),
+                st.sampled_from(["%", " ", "\t", "\n", "\x00", "\x1f", "\x7f",
+                                 "\x80", "é", "€", "\U0001f600"]),
+                st.tuples(
+                    st.sampled_from("0123456789abcdefABCDEFgz"),
+                    st.sampled_from("0123456789abcdefABCDEFgz"),
+                ).map(lambda hh: "%" + "".join(hh)),
+            ),
+            max_size=12,
+        ).map("".join)
+    )
+    def test_fast_path_agrees_with_the_character_loop(self, text):
+        try:
+            expected = _normalize_iri_chars(text)
+        except InvalidIri as exc:
+            with pytest.raises(InvalidIri) as raised:
+                _normalize_iri_text(text)
+            assert str(raised.value) == str(exc)
+        else:
+            assert _normalize_iri_text(text) == expected
 
     def test_equality_is_equivalence(self):
         a = Iri("http://x.org/a%2fb")

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etdgraph.errors import InvalidTriple, KindMismatch, UnknownProperty
 from etdgraph.model import (
@@ -13,10 +15,28 @@ from etdgraph.model import (
     TimePoint,
     Validity,
 )
-from etdgraph.store import At, During, Effect, Inference, Overlaps, Pattern, Store
-from etdgraph.vocab import EntityKind
+from etdgraph.store import (
+    At,
+    During,
+    Effect,
+    Inference,
+    InsertResult,
+    Overlaps,
+    Pattern,
+    Store,
+)
+from etdgraph.vocab import DEFAULT_VOCAB, EntityKind
 
-from oracles import AUTHORITY, oracle_snapshot, rand_point, rand_store
+from oracles import (
+    AUTHORITY,
+    UNIVERSE_FIRST,
+    UNIVERSE_LAST,
+    interval_days,
+    oracle_mergeable,
+    oracle_snapshot,
+    rand_point,
+    rand_store,
+)
 
 BASE = "http://example.org/etd"
 
@@ -164,6 +184,162 @@ class TestInsert:
         result = store.insert(make_triple(store, body, "label", Literal("Faculty B")))
         assert result.effect is Effect.COALESCED
         assert result.validity == Validity()
+
+    def test_coarser_boundary_wins_in_either_order(self, seeded):
+        # 1996 and 1996-01 start on the same day; the stored row must not
+        # depend on which statement came first
+        store, person, body = seeded
+        year = make_triple(store, person, "isStudentOf", body,
+                           Validity.during(interval("1996", "1998")))
+        month = make_triple(store, person, "isStudentOf", body,
+                            Validity.during(interval("1996-01", "2000")))
+        clone = store.copy()
+        store.insert(year)
+        store.insert(month)
+        clone.insert(month)
+        assert clone.insert(year).effect is Effect.COALESCED
+        assert store.sorted_triples() == clone.sorted_triples()
+        stored = store.match(Pattern(subject=person, property=year.property))
+        assert [t.validity for t in stored] == [Validity.during(interval("1996", "2000"))]
+
+    def test_rows_covering_all_time_become_unqualified(self, seeded):
+        store, _, body = seeded
+        for span in (("", "1990"), ("1995", ""), ("1988", "1996")):
+            result = store.insert(make_triple(store, body, "label", Literal("B"),
+                                              Validity.during(interval(*span))))
+        assert result == InsertResult(Effect.COALESCED, Validity())
+        labels = store.match(Pattern(subject=body, property=store.vocab.expand("label")))
+        assert [t.validity for t in labels] == [Validity()]
+
+    def test_membership_rows_covering_all_time_stay_apart(self, seeded):
+        # a membership needs an interval, so an all-time union keeps two rows
+        store, person, body = seeded
+        for span in (("", "1990"), ("1995", "")):
+            store.insert(make_triple(store, person, "isStudentOf", body,
+                                     Validity.during(interval(*span))))
+        result = store.insert(make_triple(store, person, "isStudentOf", body,
+                                          Validity.during(interval("1989", "1996"))))
+        assert result.effect is Effect.COALESCED
+        rows = store.match(Pattern(subject=person, property=store.vocab.expand("isStudentOf")))
+        assert len(rows) == 2
+        assert all(not t.validity.is_always for t in rows)
+        days = set().union(*(interval_days(t.validity.interval) for t in rows))
+        assert days == interval_days(interval("", "1990")) | interval_days(
+            interval("1989", "1996")) | interval_days(interval("1995", ""))
+
+    def test_insert_into_copy_coalesces_and_leaves_original(self, seeded):
+        store, person, body = seeded
+        first = make_triple(store, person, "isProfessorAt", body,
+                            Validity.during(interval("2000", "2004")))
+        store.insert(first)
+        before = store.sorted_triples()
+        second = make_triple(store, person, "isProfessorAt", body,
+                             Validity.during(interval("2005", "2008")))
+        merged = InsertResult(Effect.COALESCED, Validity.during(interval("2000", "2008")))
+        clone = store.copy()
+        assert clone.insert(second) == merged
+        assert len(clone) == len(store)
+        assert first not in clone
+        assert store.sorted_triples() == before
+        # the original's own index still holds its row, so it coalesces too
+        assert store.insert(second) == merged
+        assert store.sorted_triples() == clone.sorted_triples()
+
+
+_BODY = Iri(f"{BASE}/body/b")
+_LABEL = DEFAULT_VOCAB.expand("label")
+
+
+@st.composite
+def _points(draw):
+    # a narrow span of years at mixed precision, so that validities often
+    # overlap, touch at a day boundary or share a boundary day
+    year = draw(st.integers(1990, 1995))
+    precision = draw(st.integers(1, 3))
+    if precision == 1:
+        return TimePoint(year)
+    month = draw(st.integers(1, 12))
+    if precision == 2:
+        return TimePoint(year, month)
+    return TimePoint(year, month, draw(st.sampled_from([1, 15, 28])))
+
+
+@st.composite
+def _validities(draw):
+    if draw(st.integers(0, 6)) == 0:
+        return Validity()
+    a, b = draw(_points()), draw(_points())
+    if (a.first_day(), a.last_day()) > (b.first_day(), b.last_day()):
+        a, b = b, a
+    open_side = draw(st.sampled_from(["none"] * 4 + ["start", "end"]))
+    return Validity.during(TimeInterval(
+        None if open_side == "start" else a, None if open_side == "end" else b
+    ))
+
+
+@st.composite
+def _statements(draw):
+    # two objects times two provenances: four keys on one subject
+    return TemporalTriple(
+        _BODY,
+        _LABEL,
+        Literal(draw(st.sampled_from(["B", "C"]))),
+        draw(_validities()),
+        prov(draw(st.sampled_from(["r1", "r2"]))),
+    )
+
+
+def _store_of(triples) -> Store:
+    store = Store(base_iri=BASE)
+    for t in triples:
+        store.insert(t)
+    return store
+
+
+def _key(t: TemporalTriple):
+    return t.subject, t.property, t.object, t.provenance
+
+
+class TestInsertOrder:
+    """Coalescing keeps a canonical store whatever the insert order.
+
+    The statements use `label`, which may be unqualified, so rows whose
+    union covers all time become one unqualified row. A membership
+    property must keep an interval; there an all-time union stays split
+    in two rows, and which two depends on the insert order.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(_statements(), min_size=1, max_size=8).flatmap(
+            lambda triples: st.tuples(st.just(triples), st.permutations(triples))
+        )
+    )
+    def test_any_insert_order_gives_the_same_store(self, orders):
+        triples, shuffled = orders
+        assert _store_of(triples).sorted_triples() == _store_of(shuffled).sorted_triples()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_statements(), min_size=1, max_size=8))
+    def test_rows_of_a_key_are_the_union_of_its_statements(self, triples):
+        store = _store_of(triples)
+        universe = set(range(UNIVERSE_FIRST, UNIVERSE_LAST + 1))
+        for key in {_key(t) for t in triples}:
+            inserted = [t.validity for t in triples if _key(t) == key]
+            rows = [t.validity for t in store.sorted_triples() if _key(t) == key]
+            if any(v.is_always for v in inserted):
+                assert rows == [Validity()]
+                continue
+            expected = set().union(*(interval_days(v.interval) for v in inserted))
+            if expected == universe:
+                assert rows == [Validity()]
+                continue
+            assert all(not v.is_always for v in rows)
+            stored = set().union(*(interval_days(v.interval) for v in rows))
+            assert stored == expected
+            for i, a in enumerate(rows):
+                for b in rows[i + 1:]:
+                    assert not oracle_mergeable(a.interval, b.interval)
 
 
 class TestMatch:
