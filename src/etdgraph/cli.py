@@ -17,11 +17,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from . import analytics, graphio, ingest, query, reason
 from .errors import EtdError, NotFound, PortInUse
+from .ingest import DEFAULT_AUTHORITY_IRI
 from .model import Iri, TimeInterval, TimePoint
 from .store import DEFAULT_BASE_IRI, Effect, Store
 from .vocab import EntityKind
-
-DEFAULT_AUTHORITY_IRI = "http://example.org/etd/authority"
 
 _ENTITY_SEGMENTS = {
     "person": EntityKind.PERSON,

@@ -5,8 +5,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .cli import DEFAULT_AUTHORITY_IRI
-from .ingest import IngestReport, parse_records, records_to_graph
+from .ingest import DEFAULT_AUTHORITY_IRI, IngestReport, parse_records, records_to_graph
 from .model import TimePoint
 from .store import DEFAULT_BASE_IRI, Store
 

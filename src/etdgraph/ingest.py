@@ -44,6 +44,8 @@ from .model import (
 from .store import DEFAULT_BASE_IRI, Effect, Pattern, Store
 from .vocab import DEFAULT_VOCAB, CorporateBodySubkind, EntityKind
 
+DEFAULT_AUTHORITY_IRI = "http://example.org/etd/authority"
+
 RECORD_KINDS = ("person", "body", "work")
 
 _KEYS = {
@@ -440,7 +442,7 @@ class _Builder:
 def records_to_graph(
     records: list[Record],
     base: Iri | str = DEFAULT_BASE_IRI,
-    authority: Iri | str = "http://example.org/etd/authority",
+    authority: Iri | str = DEFAULT_AUTHORITY_IRI,
     batch_date: TimePoint | None = None,
     into: Store | None = None,
 ) -> tuple[Store, IngestReport]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import QueryParseError, UnboundSelectVariable
 from .model import Datatype, Iri, Literal, TimeInterval, TimePoint, object_sort_text
-from .store import At, Inference, Overlaps, Pattern, Store
+from .store import At, Overlaps, Store
 
 # -- AST ---------------------------------------------------------------------
 
@@ -337,8 +337,52 @@ def _constraint(spec: AtSpec | RangeSpec | None):
     return Overlaps(TimeInterval(spec.start, spec.end))
 
 
+@dataclass(frozen=True)
+class _Step:
+    """A clause with its constant terms resolved once: per position
+    (subject, property, object) a constant or a variable name."""
+
+    terms: tuple[Iri | Literal | None, ...]
+    names: tuple[str | None, ...]
+    time: At | Overlaps | None
+    pool: int  # rows one probe with the constants alone scans
+
+    def cost(self, bound: set[str]) -> tuple[int, int]:
+        """Clauses anchored at an entity come before scans, each group
+        smallest pool first. A subject or object variable an earlier step
+        bound anchors a clause and narrows each probe to one value."""
+        subject, _, obj = self.names
+        if subject in bound or obj in bound:
+            return 0, min(self.pool, 1)
+        anchored = self.terms[0] is not None or self.terms[2] is not None
+        return (0 if anchored else 1), self.pool
+
+
+def _step(store: Store, clause: Clause) -> _Step:
+    p = _resolve_term(clause.property, store, None)
+    pdef = None if p is None else store.vocab.lookup_id(p)
+    terms = (
+        _resolve_term(clause.subject, store, None),
+        p,
+        _resolve_term(clause.object, store, pdef),
+    )
+    names = tuple(
+        t.name if isinstance(t, Var) else None
+        for t in (clause.subject, clause.property, clause.object)
+    )
+    return _Step(terms, names, _constraint(clause.time), store._probe_size(*terms))
+
+
 def eval_query(store: Store, ast: QueryAst) -> ResultTable:
-    """Conjunctive join over the clauses with inverse inference enabled."""
+    """Conjunctive join over the clauses with inverse inference enabled.
+
+    Clauses run cheapest first, so the cost does not depend on the order
+    they are written in. Before each step the planner takes the clause
+    whose subject or object is a constant or a variable an earlier step
+    bound, with the smallest index pool; a clause with neither is a scan
+    and waits. Ties go to the clause written first. This is the greedy
+    selectivity heuristic of RDF-3X, over the store's s/p/o indexes.
+    """
     clause_vars = {
         t.name
         for c in ast.clauses
@@ -349,48 +393,36 @@ def eval_query(store: Store, ast: QueryAst) -> ResultTable:
         if name not in clause_vars:
             raise UnboundSelectVariable(f"?{name} does not appear in any clause")
 
+    steps = [_step(store, clause) for clause in ast.clauses]
     bindings: list[dict[str, Iri | Literal]] = [{}]
-    for clause in ast.clauses:
-        pdef = None
-        if isinstance(clause.property, CurieRef):
-            pdef = store.vocab.lookup(clause.property.curie)
-        elif isinstance(clause.property, IriRef):
-            pdef = store.vocab.lookup_id(clause.property.iri)
-        time = _constraint(clause.time)
-        next_bindings = []
-        for binding in bindings:
-            s = _bound(clause.subject, binding) or _resolve_term(clause.subject, store, None)
-            p = _bound(clause.property, binding) or _resolve_term(clause.property, store, None)
-            o = _bound(clause.object, binding) or _resolve_term(clause.object, store, pdef)
-            if isinstance(s, Literal):
-                continue  # subjects are always entities
-            pattern = Pattern(subject=s, property=p, object=o,
-                              time=time, inference=Inference.INVERSE)
-            for hit in store.match(pattern):
-                extended = dict(binding)
-                ok = True
-                for term, value in (
-                    (clause.subject, hit.subject),
-                    (clause.property, hit.property),
-                    (clause.object, hit.object),
-                ):
-                    if isinstance(term, Var):
-                        prev = extended.get(term.name)
-                        if prev is None:
-                            extended[term.name] = value
-                        elif prev != value:
-                            ok = False
-                            break
-                if ok:
-                    next_bindings.append(extended)
-        bindings = next_bindings
+    bound: set[str] = set()
+    while steps and bindings:
+        step = steps.pop(min(range(len(steps)), key=lambda i: steps[i].cost(bound)))
+        bindings = _extend(store, step, bindings, bound)
+        bound.update(name for name in step.names if name is not None)
 
     rows = {tuple(b[name] for name in ast.select) for b in bindings}
     ordered = sorted(rows, key=lambda row: tuple(object_sort_text(v) for v in row))
     return ResultTable(tuple(ast.select), ordered)
 
 
-def _bound(term: Term, binding: dict):
-    if isinstance(term, Var):
-        return binding.get(term.name)
-    return None
+def _extend(store: Store, step: _Step, bindings: list[dict], bound: set[str]) -> list[dict]:
+    """Each binding joined with the statements the step matches under it."""
+    given = [(i, name) for i, name in enumerate(step.names) if name in bound]
+    free = [(i, name) for i, name in enumerate(step.names)
+            if name is not None and name not in bound]
+    terms = list(step.terms)
+    out = []
+    for binding in bindings:
+        for i, name in given:
+            terms[i] = binding[name]
+        for hit in store._match(*terms, step.time, True):
+            values = (hit.subject, hit.property, hit.object)
+            extended = dict(binding)
+            for i, name in free:
+                # a variable twice in one clause must take one value
+                if extended.setdefault(name, values[i]) != values[i]:
+                    break
+            else:
+                out.append(extended)
+    return out

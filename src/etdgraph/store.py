@@ -6,6 +6,8 @@ insert, so the stored set is always canonical: any insert order gives
 the same rows. Rows that together cover every day become one unqualified
 row, except for memberships, which must keep an interval; such a
 membership stays split in two rows, and which two depends on the order.
+Instants of an instant property (`changedTo`) coalesce only when one
+contains the other; day-adjacent instants stay two rows.
 Statements differing in provenance are kept apart deliberately: merging
 assertions from different sources would destroy the audit trail.
 
@@ -16,7 +18,7 @@ longer mutated can be shared between threads as an immutable snapshot.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -31,6 +33,7 @@ from .model import (
     TimePoint,
     Validity,
     interval_hull,
+    intervals_overlap,
     intervals_touch,
     merge_if_coalescable,
     triple_sort_key,
@@ -108,10 +111,14 @@ def _coalesce(
     """The validity a time-scoped statement takes in a key holding `rows`,
     and the rows it absorbs."""
     # Rows of one key never touch each other (only the two rows of a split
-    # membership may), so while the hull is representable, the rows the
-    # new interval touches are exactly the ones it joins into one.
+    # membership and day-adjacent instants may), so while the hull is
+    # representable, the rows the new interval touches are exactly the
+    # ones it joins into one. Instants join only into an instant: calendar
+    # points are nested or disjoint, so overlapping ones have the coarser
+    # point as their hull, and day-adjacent ones stay apart.
     interval = validity.interval
-    touching = [t for t in rows if intervals_touch(interval, t.validity.interval)]
+    touches = intervals_overlap if pdef.instant else intervals_touch
+    touching = [t for t in rows if touches(interval, t.validity.interval)]
     if not touching:
         return validity, touching
     hull = interval_hull([interval] + [t.validity.interval for t in touching])
@@ -160,6 +167,15 @@ def _passes(validity: Validity, constraint: TimeConstraint | None) -> bool:
     if isinstance(constraint, During):
         return validity.within(constraint.interval)
     return validity.overlaps(constraint.interval)
+
+
+def _unifies(t: TemporalTriple, subject, prop, obj, time: TimeConstraint | None) -> bool:
+    return (
+        (subject is None or t.subject == subject)
+        and (prop is None or t.property == prop)
+        and (obj is None or t.object == obj)
+        and _passes(t.validity, time)
+    )
 
 
 class Store:
@@ -329,66 +345,61 @@ class Store:
         """
         if pattern.property is not None:
             self.vocab.lookup_id(pattern.property)
+        hits = self._match(
+            pattern.subject, pattern.property, pattern.object, pattern.time,
+            pattern.inference is Inference.INVERSE,
+        )
+        return sorted(hits, key=triple_sort_key)
 
+    def _match(self, subject, prop, obj, time, inverse: bool) -> Iterable[TemporalTriple]:
+        """`match` unsorted, for a known property: the probe a query join
+        makes once per binding."""
+        stored, flippable = self._pools(subject, prop, obj, inverse)
         out: dict[TemporalTriple, TemporalTriple] = {}
-        for t in self._candidates(pattern.subject, pattern.property, pattern.object):
-            if self._unifies(t, pattern):
+        for t in stored:
+            if _unifies(t, subject, prop, obj, time):
                 out.setdefault(t, t)
-        if pattern.inference is Inference.INVERSE:
-            for t in self._inverse_candidates(pattern):
-                flipped = t.flipped(self.vocab.inverse_of(t.property))
-                if self._unifies(flipped, pattern):
-                    out.setdefault(flipped, flipped)
-        return sorted(out.values(), key=triple_sort_key)
+        for t in flippable:
+            inverse_prop = self.vocab.inverse_of(t.property)
+            if inverse_prop is None or not isinstance(t.object, Iri):
+                continue
+            flipped = t.flipped(inverse_prop)
+            if _unifies(flipped, subject, prop, obj, time):
+                out.setdefault(flipped, flipped)
+        return out.values()
 
-    def _candidates(self, subject, prop, obj):
+    def _probe_size(self, subject, prop, obj) -> int:
+        """Rows a probe with inverse inference scans, stored and flippable."""
+        stored, flippable = self._pools(subject, prop, obj, True)
+        return len(stored) + len(flippable)
+
+    def _pools(self, subject, prop, obj, inverse: bool):
+        """The smallest index pool holding every stored statement that may
+        unify with the terms, and with `inverse`, the smallest holding
+        every statement whose flipped copy may unify."""
+        stored = self._smallest_pool(subject, prop, obj)
+        if not inverse or isinstance(subject, Literal) or isinstance(obj, Literal):
+            return stored, ()  # a flipped copy has entities at both ends
+        # Flipping swaps s/o and maps the property to its inverse, so the
+        # flippable statements are those of the reversed terms.
+        stored_prop = None
+        if prop is not None:
+            stored_prop = self.vocab.inverse_of(prop)
+            if stored_prop is None:
+                return stored, ()
+        return stored, self._smallest_pool(obj, stored_prop, subject)
+
+    def _smallest_pool(self, subject, prop, obj):
         pools = []
         if subject is not None:
-            pools.append(self._by_subject.get(subject, set()))
+            pools.append(self._by_subject.get(subject, ()))
         if prop is not None:
-            pools.append(self._by_property.get(prop, set()))
+            pools.append(self._by_property.get(prop, ()))
         if obj is not None:
-            pools.append(self._by_object.get(obj, set()))
+            pools.append(self._by_object.get(obj, ()))
         if not pools:
             return self._triples
         return min(pools, key=len)
-
-    def _inverse_candidates(self, pattern: Pattern):
-        # Flipping swaps s/o and maps the property to its inverse, so select
-        # stored candidates under the reversed pattern.
-        if pattern.property is not None:
-            stored_prop = self.vocab.inverse_of(pattern.property)
-            if stored_prop is None:
-                return []
-        else:
-            stored_prop = None
-        pools = []
-        if pattern.object is not None:
-            if not isinstance(pattern.object, Iri):
-                return []
-            pools.append(self._by_subject.get(pattern.object, set()))
-        if stored_prop is not None:
-            pools.append(self._by_property.get(stored_prop, set()))
-        if pattern.subject is not None:
-            pools.append(self._by_object.get(pattern.subject, set()))
-        base = min(pools, key=len) if pools else self._triples
-        return [
-            t
-            for t in base
-            if isinstance(t.object, Iri)
-            and self.vocab.inverse_of(t.property) is not None
-            and (stored_prop is None or t.property == stored_prop)
-        ]
-
-    @staticmethod
-    def _unifies(t: TemporalTriple, pattern: Pattern) -> bool:
-        if pattern.subject is not None and t.subject != pattern.subject:
-            return False
-        if pattern.property is not None and t.property != pattern.property:
-            return False
-        if pattern.object is not None and t.object != pattern.object:
-            return False
-        return _passes(t.validity, pattern.time)
 
     def snapshot_at(self, t: TimePoint) -> set[TemporalTriple]:
         """Statements valid at t; Always statements are always included."""

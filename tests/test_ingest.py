@@ -1,6 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import etdgraph
 
 from etdgraph.errors import (
     DuplicateLocalId,
@@ -243,3 +249,17 @@ class TestResolve:
     def test_missing_entity(self, network):
         with pytest.raises(NotFound):
             resolve_entity(network, EntityKind.PERSON, "ghost")
+
+
+def test_fixture_import_leaves_cli_and_http_unloaded():
+    # a fresh interpreter, so modules other tests imported do not count
+    src = str(Path(etdgraph.__file__).resolve().parent.parent)
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, etdgraph.fixture; "
+         "print(sorted(m for m in ('etdgraph.cli', 'http.server') if m in sys.modules))"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert loaded.strip() == "[]"

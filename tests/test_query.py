@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from etdgraph.errors import QueryParseError, UnboundSelectVariable, UnknownProperty
 from etdgraph.model import Iri, TimePoint
@@ -8,6 +11,7 @@ from etdgraph.query import (
     AtSpec,
     CurieRef,
     PathRef,
+    QueryAst,
     RangeSpec,
     Var,
     eval_query,
@@ -196,3 +200,56 @@ class TestAgainstBruteForce:
             got = set(eval_query(store, ast).rows)
             assert got == expected
             checked += 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_every_clause_order_gives_the_oracle_table(self, rng):
+        store = rand_store(rng, n_people=4, n_bodies=3, n_works=3)
+        ast = self._random_query(rng, store)
+        assume(ast is not None)
+        names = {
+            t.name
+            for c in ast.clauses
+            for t in (c.subject, c.property, c.object)
+            if isinstance(t, Var)
+        }
+        ast = QueryAst(tuple(sorted(names)), ast.clauses)
+        expected = eval_query(store, ast)
+        assert set(expected.rows) == oracle_join(store, ast)
+        for clauses in itertools.permutations(ast.clauses):
+            assert eval_query(store, QueryAst(ast.select, clauses)) == expected
+
+
+class TestPlan:
+    # works advised by professors of the subdivisions of School A, written
+    # in the order that is slow to run as written
+    REVERSED_JOIN = (
+        "?w etd:advisedBy ?a .",
+        "?a etd:isProfessorAt ?b .",
+        "?b etd:isSubdivisionOf body/schoolA .",
+    )
+
+    def test_reversed_join_starts_from_the_constant(self, network, iri, monkeypatch):
+        probes = []
+        probe = Store._match
+
+        def counting(store, *terms):
+            probes.append(terms)
+            return probe(store, *terms)
+
+        monkeypatch.setattr(Store, "_match", counting)
+        tables, counts = [], []
+        for clauses in (self.REVERSED_JOIN, self.REVERSED_JOIN[::-1]):
+            probes.clear()
+            tables.append(eval_query(network, parse_query(
+                "SELECT ?w ?a ?b WHERE { " + " ".join(clauses) + " }"
+            )))
+            counts.append(len(probes))
+            subject, prop, obj = probes[0][:3]
+            assert (subject, prop, obj) == (
+                None, network.vocab.expand("isSubdivisionOf"), iri("body/schoolA")
+            )
+        assert tables[0] == tables[1]
+        assert tables[0].rows == [(iri("work/phd1"), iri("person/pC"), iri("body/facB"))]
+        # one probe per clause: School A, then Faculty B, then Person C
+        assert counts == [3, 3]

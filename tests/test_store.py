@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etdgraph.errors import InvalidTriple, KindMismatch, UnknownProperty
+from etdgraph.graphio import export_quads, import_quads
 from etdgraph.model import (
     Datatype,
     Iri,
@@ -157,6 +158,42 @@ class TestInsert:
         assert store.insert(
             make_triple(store, body, "changedTo", other, Validity.at(TimePoint(1990)))
         ).effect is Effect.INSERTED
+
+    @pytest.mark.parametrize("first, second", [
+        ("1990", "1991"),
+        ("2000-01-01", "2000-01-02"),
+        ("1990-12", "1991"),
+    ])
+    def test_day_adjacent_instants_stay_apart(self, seeded, first, second):
+        store, _, body = seeded
+        other = Iri(f"{BASE}/body/facC")
+        store.insert(make_triple(store, other, "kind",
+                                 store.vocab.class_iri(EntityKind.CORPORATE_BODY)))
+        for point in (first, second):
+            result = store.insert(make_triple(store, body, "changedTo", other,
+                                              Validity.at(TimePoint.parse(point))))
+            assert result.effect is Effect.INSERTED
+        rows = store.match(Pattern(subject=body, property=store.vocab.expand("changedTo")))
+        assert [r.validity for r in rows] == [
+            Validity.at(TimePoint.parse(first)), Validity.at(TimePoint.parse(second))
+        ]
+        reloaded = import_quads(export_quads(store), base_iri=BASE)
+        assert reloaded.sorted_triples() == store.sorted_triples()
+
+    def test_nested_instants_keep_the_coarser(self, seeded):
+        store, _, body = seeded
+        other = Iri(f"{BASE}/body/facC")
+        store.insert(make_triple(store, other, "kind",
+                                 store.vocab.class_iri(EntityKind.CORPORATE_BODY)))
+        store.insert(make_triple(store, body, "changedTo", other,
+                                 Validity.at(TimePoint(1990, 6))))
+        result = store.insert(make_triple(store, body, "changedTo", other,
+                                          Validity.at(TimePoint(1990))))
+        assert (result.effect, result.validity) == (
+            Effect.COALESCED, Validity.at(TimePoint(1990))
+        )
+        assert store.insert(make_triple(store, body, "changedTo", other, Validity.at(
+            TimePoint(1990, 12, 31)))).effect is Effect.DUPLICATE
 
     def test_conflicting_kind_rejected(self, seeded):
         store, person, _ = seeded
