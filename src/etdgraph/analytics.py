@@ -34,6 +34,7 @@ from .reason import (
     ANY_ROLE,
     PROFESSOR,
     STUDENT,
+    MobilityEvent,
     ancestors_at,
     derive_mobility,
     members_at,
@@ -273,26 +274,37 @@ def _grantors_diverge(store: Store, grantors: list[Iri], when: TimePoint) -> boo
     return False
 
 
+def mobility_events(store: Store, interval: TimeInterval) -> list[MobilityEvent]:
+    """Every person's mobility events with an arrival inside the
+    interval, by person IRI, then in each person's departure order."""
+    return [
+        event
+        for person in store.entities_of_kind(EntityKind.PERSON)
+        for event in derive_mobility(store, person)
+        if interval_contains(interval, event.arrival)
+    ]
+
+
+def mobility_aggregate(
+    store: Store, events: list[MobilityEvent]
+) -> dict[Iri | None, MobilityAggregate]:
+    """Events grouped by the mover's gender at arrival."""
+    moves: dict[Iri | None, list[int]] = {}
+    for event in events:
+        gender = gender_of(store, event.person, event.arrival)
+        moves.setdefault(gender, []).append(event.gap_years)
+    return {
+        gender: MobilityAggregate(len(gaps), Fraction(sum(gaps), len(gaps)))
+        for gender, gaps in sorted(moves.items(), key=lambda kv: kv[0].value if kv[0] else "")
+    }
+
+
 def mobility_by_gender(
     store: Store, interval: TimeInterval
 ) -> dict[Iri | None, MobilityAggregate]:
     """Mobility events with an arrival inside the interval, grouped by
     the mover's gender at arrival."""
-    moves: dict[Iri | None, list[int]] = {}
-    for person in store.entities_of_kind(EntityKind.PERSON):
-        for event in derive_mobility(store, person):
-            if not interval_contains(interval, event.arrival):
-                continue
-            gender = gender_of(store, person, event.arrival)
-            moves.setdefault(gender, []).append(event.gap_years)
-    out: dict[Iri | None, MobilityAggregate] = {}
-    for gender in sorted(moves, key=lambda g: g.value if g else ""):
-        gaps = moves[gender]
-        out[gender] = MobilityAggregate(
-            moves=len(gaps),
-            avg_gap_years=Fraction(sum(gaps), len(gaps)),
-        )
-    return out
+    return mobility_aggregate(store, mobility_events(store, interval))
 
 
 def institution_cooperation(

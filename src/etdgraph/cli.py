@@ -14,9 +14,10 @@ import sys
 from datetime import date
 from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import urlsplit
 
 from . import analytics, graphio, ingest, query, reason
-from .errors import EtdError, NotFound, PortInUse
+from .errors import EtdError, PortInUse
 from .ingest import DEFAULT_AUTHORITY_IRI
 from .model import Iri, TimeInterval, TimePoint
 from .store import DEFAULT_BASE_IRI, Effect, Store
@@ -106,15 +107,11 @@ def _entity_iri(store: Store, text: str) -> Iri:
     return Iri(f"{store.base_iri.value.rstrip('/')}/{text}")
 
 
-def _parse_point(text: str) -> TimePoint:
-    return TimePoint.parse(text)
-
-
 def _interval_from_args(args) -> TimeInterval:
     if args.during:
         return ingest.parse_interval_text(args.during)
     if args.at:
-        return TimeInterval.instant(_parse_point(args.at))
+        return TimeInterval.instant(TimePoint.parse(args.at))
     return TimeInterval(TimePoint(1), TimePoint(9999))
 
 
@@ -185,7 +182,7 @@ def _cmd_ingest(args) -> int:
     if args.batch_date == "none":
         batch_date = None
     elif args.batch_date:
-        batch_date = _parse_point(args.batch_date)
+        batch_date = TimePoint.parse(args.batch_date)
     else:
         today = date.today()
         batch_date = TimePoint(today.year, today.month, today.day)
@@ -213,7 +210,7 @@ def _cmd_report(args, store: Store) -> int:
             raise _UsageError("report gender needs --scope and --at")
         tally = analytics.gender_tally(
             store, _entity_iri(store, args.scope), args.role,
-            _parse_point(args.at), args.subdivisions,
+            TimePoint.parse(args.at), args.subdivisions,
         )
         out.write("gender\tcount\n")
         for gender, count in tally.counts.items():
@@ -241,20 +238,13 @@ def _cmd_report(args, store: Store) -> int:
             out.write(f"work\t{work}\n")
     elif kind == "mobility":
         out.write("person\tfrom\tto\tfrom-role\tto-role\tdeparture\tarrival\tgap-years\n")
-        rows = []
-        for person in store.entities_of_kind(EntityKind.PERSON):
-            for e in reason.derive_mobility(store, person):
-                if _arrival_in(e, interval):
-                    rows.append(e)
-        rows.sort(key=lambda e: (e.person.value, e.departure.first_day()))
-        for e in rows:
+        events = analytics.mobility_events(store, interval)
+        for e in events:
             out.write(
                 f"{e.person}\t{e.from_institution}\t{e.to_institution}\t"
                 f"{e.from_role}\t{e.to_role}\t{e.departure}\t{e.arrival}\t{e.gap_years}\n"
             )
-        aggregates = analytics.mobility_by_gender(store, interval)
-        for gender in aggregates:
-            agg = aggregates[gender]
+        for gender, agg in analytics.mobility_aggregate(store, events).items():
             name = gender.value if gender else "unspecified"
             out.write(f"by-gender\t{name}\t{agg.moves}\t{_ratio(agg.avg_gap_years)}\n")
     elif kind == "cooperation":
@@ -271,12 +261,6 @@ def _cmd_report(args, store: Store) -> int:
             counterpart = e.counterpart.value if e.counterpart else "-"
             out.write(f"{e.when}\t{e.event_kind.value}\t{e.body}\t{counterpart}\n")
     return 0
-
-
-def _arrival_in(event, interval: TimeInterval) -> bool:
-    from .model import interval_contains
-
-    return interval_contains(interval, event.arrival)
 
 
 def _cmd_stats(store: Store):
@@ -310,16 +294,17 @@ def _make_handler(store: Store):
             self.wfile.write(payload)
 
         def do_GET(self):
-            if self.path == "/health":
+            path = urlsplit(self.path).path
+            if path == "/health":
                 self._send(200, "ok")
                 return
-            parts = self.path.lstrip("/").split("/")
+            parts = path.lstrip("/").split("/")
             if len(parts) == 3 and parts[0] == "entity" and parts[1] in _ENTITY_SEGMENTS:
                 iri_text = f"{store.base_iri.value.rstrip('/')}/{parts[1]}/{parts[2]}"
                 try:
                     focus = Iri(iri_text)
                     doc = graphio.describe_entity(store, focus)
-                except (NotFound, EtdError):
+                except EtdError:
                     self._send(404, "not found")
                     return
                 self._send(200, graphio.serialize_description(store, doc))

@@ -128,10 +128,12 @@ def _data_line(triple: TemporalTriple, ctx: Iri) -> str:
     )
 
 
-def export_quads(store: Store) -> str:
+def _quad_text(store: Store, triples) -> str:
+    """Data lines of the triples in the given order, then their context
+    lines, sorted and deduplicated."""
     data_lines = []
     meta_lines: set[str] = set()
-    for triple in store.sorted_triples():
+    for triple in triples:
         ctx = context_iri(store.base_iri, triple.validity, triple.provenance)
         data_lines.append(_data_line(triple, ctx))
         meta_lines.update(
@@ -139,6 +141,10 @@ def export_quads(store: Store) -> str:
         )
     lines = data_lines + sorted(meta_lines)
     return "\n".join(lines) + "\n" if lines else ""
+
+
+def export_quads(store: Store) -> str:
+    return _quad_text(store, store.sorted_triples())
 
 
 # -- import -------------------------------------------------------------------
@@ -464,13 +470,4 @@ def serialize_description(store: Store, doc: DescriptionDocument) -> str:
         label = _current_label_triple(store, neighbor)
         if label is not None:
             selected.add(label)
-    data_lines = []
-    meta_lines: set[str] = set()
-    for triple in sorted(selected, key=triple_sort_key):
-        ctx = context_iri(store.base_iri, triple.validity, triple.provenance)
-        data_lines.append(_data_line(triple, ctx))
-        meta_lines.update(
-            _context_meta_lines(store, ctx, triple.validity, triple.provenance)
-        )
-    lines = data_lines + sorted(meta_lines)
-    return "\n".join(lines) + "\n" if lines else ""
+    return _quad_text(store, sorted(selected, key=triple_sort_key))

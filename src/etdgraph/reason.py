@@ -70,20 +70,19 @@ def _parents_at(store: Store, body: Iri, t: TimePoint) -> list[Iri]:
     return sorted({h.subject for h in hits}, key=lambda i: i.value)
 
 
-def ancestors_at(store: Store, body: Iri, t: TimePoint) -> list[Iri]:
-    """Transitive hierarchy closure at time t, ordered child to root.
-
-    Breadth-first layers, each sorted, first occurrence wins. A directed
-    cycle among the reachable bodies aborts with HierarchyCycle.
-    """
+def _walk(store: Store, body: Iri, t: TimePoint) -> tuple[list[Iri], dict[Iri, list[Iri]]]:
+    """ancestors_at's answer, plus the valid-at-t parents of body and of
+    each ancestor; each body's parents are probed once."""
     _require_body(store, body)
     order: list[Iri] = []
+    parents: dict[Iri, list[Iri]] = {}
     seen = {body}
     frontier = [body]
     while frontier:
         layer: list[Iri] = []
         for node in frontier:
-            for parent in _parents_at(store, node, t):
+            parents[node] = _parents_at(store, node, t)
+            for parent in parents[node]:
                 if parent not in seen:
                     seen.add(parent)
                     layer.append(parent)
@@ -91,45 +90,50 @@ def ancestors_at(store: Store, body: Iri, t: TimePoint) -> list[Iri]:
         order.extend(layer)
         frontier = layer
 
-    _check_acyclic(store, body, t, seen)
-    return order
+    _check_acyclic(parents)
+    return order, parents
 
 
-def _check_acyclic(store: Store, body: Iri, t: TimePoint, reachable: set[Iri]):
+def ancestors_at(store: Store, body: Iri, t: TimePoint) -> list[Iri]:
+    """Transitive hierarchy closure at time t, ordered child to root.
+
+    Breadth-first layers, each sorted, first occurrence wins. A directed
+    cycle among the reachable bodies aborts with HierarchyCycle.
+    """
+    return _walk(store, body, t)[0]
+
+
+def _check_acyclic(parents: dict[Iri, list[Iri]]):
     # Iterative three-color DFS over the valid-at-t parent edges.
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in reachable}
-    for root in sorted(reachable, key=lambda i: i.value):
+    color = dict.fromkeys(parents, WHITE)
+    for root in sorted(parents, key=lambda i: i.value):
         if color[root] != WHITE:
             continue
-        stack: list[tuple[Iri, list[Iri]]] = [(root, _parents_at(store, root, t))]
+        stack = [(root, iter(parents[root]))]
         color[root] = GRAY
         path = [root]
         while stack:
-            node, parents = stack[-1]
-            advanced = False
-            while parents:
-                nxt = parents.pop(0)
-                if color.get(nxt, WHITE) == GRAY:
-                    cycle_start = path.index(nxt)
-                    raise HierarchyCycle(path[cycle_start:] + [nxt])
-                if color.get(nxt, WHITE) == WHITE:
+            node, pending = stack[-1]
+            for nxt in pending:
+                if color[nxt] == GRAY:
+                    raise HierarchyCycle(path[path.index(nxt):] + [nxt])
+                if color[nxt] == WHITE:
                     color[nxt] = GRAY
                     path.append(nxt)
-                    stack.append((nxt, _parents_at(store, nxt, t)))
-                    advanced = True
+                    stack.append((nxt, iter(parents[nxt])))
                     break
-            if not advanced:
+            else:
                 color[node] = BLACK
                 path.pop()
                 stack.pop()
 
 
 def top_institution_at(store: Store, body: Iri, t: TimePoint) -> Iri:
-    """The root of the hierarchy above body at t (body itself if none)."""
-    chain = ancestors_at(store, body, t)
-    candidates = [n for n in [body] + chain if not _parents_at(store, n, t)]
-    return sorted(candidates, key=lambda i: i.value)[0] if candidates else body
+    """The root of the hierarchy above body at t (body itself if none);
+    the lowest IRI when several roots are reachable."""
+    chain, parents = _walk(store, body, t)
+    return min((n for n in [body] + chain if not parents[n]), key=lambda i: i.value)
 
 
 def successor_chain(store: Store, body: Iri) -> list[Iri]:

@@ -1,7 +1,10 @@
 import pytest
 
+from etdgraph import analytics, reason
 from etdgraph.cli import main
 from etdgraph.fixture import fixture_text
+from etdgraph.graphio import import_quads
+from etdgraph.vocab import EntityKind
 
 
 @pytest.fixture
@@ -117,6 +120,23 @@ class TestReport:
         assert len(pa_rows) == 1
         assert pa_rows[0].endswith("\t6")
         assert "student" in pa_rows[0] and "professor" in pa_rows[0]
+
+    def test_mobility_derives_each_person_once(self, store_path, capsys, monkeypatch):
+        people = []
+        real = reason.derive_mobility
+
+        def counting(store, person):
+            people.append(person)
+            return real(store, person)
+
+        # analytics holds its own reference to derive_mobility
+        monkeypatch.setattr(reason, "derive_mobility", counting)
+        monkeypatch.setattr(analytics, "derive_mobility", counting)
+        code, _, _ = run(capsys, ["report", "mobility", "--store", str(store_path)])
+        assert code == 0
+        with open(store_path, encoding="utf-8") as fh:
+            persons = import_quads(fh.read()).entities_of_kind(EntityKind.PERSON)
+        assert people == persons
 
     def test_gender_tally(self, store_path, capsys):
         code, stdout, _ = run(capsys, [

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from etdgraph import reason
 from etdgraph.errors import (
     AmbiguousSuccession,
     HierarchyCycle,
@@ -89,6 +90,9 @@ class TestAncestors:
                 assert set(ancestors_at(store, node, t)) == oracle_reachable_parents(
                     store, node, t
                 )
+                roots = [n for n in {node} | oracle_reachable_parents(store, node, t)
+                         if not oracle_reachable_parents(store, n, t)]
+                assert top_institution_at(store, node, t) == min(roots, key=lambda i: i.value)
 
     def test_reasoning_is_read_only(self, network, iri):
         before = export_quads(network)
@@ -230,6 +234,20 @@ class TestTopInstitution:
     def test_lifts_to_university(self, network, iri):
         assert top_institution_at(network, iri("body/facB"), TimePoint(1998)) == iri("body/ux")
         assert top_institution_at(network, iri("body/uy"), TimePoint(1998)) == iri("body/uy")
+
+    def test_probes_each_reached_body_once(self, network, iri, monkeypatch):
+        probed = []
+        real = reason._parents_at
+
+        def counting(store, body, t):
+            probed.append(body)
+            return real(store, body, t)
+
+        monkeypatch.setattr(reason, "_parents_at", counting)
+        assert top_institution_at(network, iri("body/facB"), TimePoint(1998)) == iri("body/ux")
+        assert sorted(probed, key=lambda i: i.value) == [
+            iri("body/facB"), iri("body/schoolA"), iri("body/ux"),
+        ]
 
 
 class TestStructureTimeline:

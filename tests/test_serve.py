@@ -61,6 +61,14 @@ def test_health(server):
     assert status == 200 and body == b"ok"
 
 
+def test_query_string_ignored(server):
+    base_url, _ = server
+    assert get(f"{base_url}/health?probe=1")[:2] == (200, b"ok")
+    plain = get(f"{base_url}/entity/person/pA")
+    with_query = get(f"{base_url}/entity/person/pA?x=1")
+    assert with_query[:2] == plain[:2] and plain[0] == 200
+
+
 def test_mutating_methods_rejected(server):
     base_url, _ = server
     request = urllib.request.Request(f"{base_url}/entity/person/pA", method="POST",
