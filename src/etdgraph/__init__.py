@@ -4,6 +4,8 @@ corporate bodies, and works, with a small query language, canned
 academic-network analytics, a canonical quad serialization, and a
 read-only dereference endpoint."""
 
+import logging
+
 from .model import (
     ALWAYS,
     Datatype,
@@ -30,6 +32,9 @@ from .vocab import (
 )
 
 __version__ = "0.1.0"
+
+# a library leaves logging output to the application
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "ALWAYS",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import logging.handlers
 import os
 import sys
 from datetime import date
@@ -238,7 +239,15 @@ def _cmd_report(args, store: Store) -> int:
             out.write(f"work\t{work}\n")
     elif kind == "mobility":
         out.write("person\tfrom\tto\tfrom-role\tto-role\tdeparture\tarrival\tgap-years\n")
-        events = analytics.mobility_events(store, interval)
+        skipped = logging.handlers.BufferingHandler(sys.maxsize)  # never flushes
+        reason.logger.addHandler(skipped)
+        try:
+            events = analytics.mobility_events(store, interval)
+        finally:
+            reason.logger.removeHandler(skipped)
+        if skipped.buffer:
+            print(f"warning: skipped {len(skipped.buffer)} mobility boundaries with "
+                  "open-ended or overlapping affiliations", file=sys.stderr)
         for e in events:
             out.write(
                 f"{e.person}\t{e.from_institution}\t{e.to_institution}\t"

@@ -125,16 +125,19 @@ class Vocabulary:
         self._kind_by_class: dict[Iri, EntityKind] = {
             v: k for k, v in self._class_by_kind.items()
         }
+        # one shared Iri per term, so `expand` builds none
+        self._terms: dict[str, Iri] = {k.value: v for k, v in self._class_by_kind.items()}
+        self._terms.update((row[0], Iri(namespace + row[0])) for row in _TABLE)
         for (local, dom, rng, cat, temporal, instant, inv, uni, marc, values) in _TABLE:
             pd = PropertyDef(
-                id=Iri(namespace + local),
+                id=self._terms[local],
                 curie=f"{PREFIX}:{local}",
                 domain_kind=dom,
                 range_kind=rng,
                 frad_category=cat,
                 temporal_expected=temporal,
                 instant=instant,
-                inverse_id=Iri(namespace + inv) if inv else None,
+                inverse_id=self._terms[inv] if inv else None,
                 relator_unimarc=uni,
                 relator_marc21=marc,
                 value_set=values,
@@ -173,7 +176,11 @@ class Vocabulary:
         return self.lookup_id(property_id).inverse_id
 
     def expand(self, local: str) -> Iri:
-        return Iri(self.namespace + local)
+        """The IRI of a property or entity-kind class by its local name."""
+        try:
+            return self._terms[local]
+        except KeyError:
+            raise UnknownProperty(f"unknown vocabulary term {local!r}") from None
 
     def class_iri(self, kind: EntityKind) -> Iri:
         return self._class_by_kind[kind]

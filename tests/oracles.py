@@ -108,6 +108,44 @@ def oracle_snapshot(triples, t: TimePoint) -> set:
     return {x for x in triples if fast_valid_at(x.validity, t)}
 
 
+def oracle_passes(v: Validity, constraint) -> bool:
+    """A store time constraint on materialized day ranges."""
+    from etdgraph.store import At, During
+
+    if constraint is None:
+        return True
+    if isinstance(constraint, At):
+        return fast_valid_at(v, constraint.point)
+    days = _validity_day_range(v)
+    window = _validity_day_range(Validity.during(constraint.interval))
+    if isinstance(constraint, During):
+        # an unqualified row holds on every day, more than any interval
+        return days is not None and window.start <= days.start and days.stop <= window.stop
+    return days is None or (days.start < window.stop and window.start < days.stop)
+
+
+def oracle_match(store: Store, subject, prop, obj, time, inverse: bool) -> list:
+    """Store.match by brute force: every stored row and, with `inverse`,
+    every flipped copy, filtered term by term; a stored row shadows an
+    identical derived one."""
+    universe = {}
+    for t in store:
+        universe[(t.subject, t.property, t.object, t.validity, t.provenance)] = t
+    if inverse:
+        for t in list(store):
+            inverse_prop = store.vocab.inverse_of(t.property)
+            if inverse_prop is not None and isinstance(t.object, Iri):
+                f = t.flipped(inverse_prop)
+                universe.setdefault((f.subject, f.property, f.object, f.validity, f.provenance), f)
+    return [
+        t for t in universe.values()
+        if (subject is None or t.subject == subject)
+        and (prop is None or t.property == prop)
+        and (obj is None or t.object == obj)
+        and oracle_passes(t.validity, time)
+    ]
+
+
 # -- generators ----------------------------------------------------------------
 
 

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import etdgraph
 from etdgraph import analytics, reason
 from etdgraph.cli import main
 from etdgraph.fixture import fixture_text
@@ -137,6 +143,30 @@ class TestReport:
         with open(store_path, encoding="utf-8") as fh:
             persons = import_quads(fh.read()).entities_of_kind(EntityKind.PERSON)
         assert people == persons
+
+    def test_mobility_counts_skipped_boundaries_on_one_line(self, tmp_path):
+        source = tmp_path / "overlap.etd"
+        source.write_text(
+            "id u1\ntype body\nname U1\nbody-kind university\n\n"
+            "id u2\ntype body\nname U2\nbody-kind university\n\n"
+            "id p\ntype person\nname P\nprofessor-at u1@1990..2000\nprofessor-at u2@1995..\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "overlap.tnq"
+        assert main(["ingest", str(source), "--out", str(out), "--batch-date", "none"]) == 0
+        # a fresh interpreter: pytest's log capture would hide stray lines
+        src = str(Path(etdgraph.__file__).resolve().parent.parent)
+        path = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "etdgraph.cli", "report", "mobility", "--store", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[1:] == []  # header only
+        assert proc.stderr.splitlines() == [
+            "warning: skipped 1 mobility boundaries with open-ended or overlapping affiliations"
+        ]
 
     def test_gender_tally(self, store_path, capsys):
         code, stdout, _ = run(capsys, [

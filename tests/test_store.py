@@ -1,4 +1,6 @@
+import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from etdgraph.model import (
     TimeInterval,
     TimePoint,
     Validity,
+    triple_sort_key,
 )
 from etdgraph.store import (
     At,
@@ -33,8 +36,10 @@ from oracles import (
     UNIVERSE_FIRST,
     UNIVERSE_LAST,
     interval_days,
+    oracle_match,
     oracle_mergeable,
     oracle_snapshot,
+    rand_interval,
     rand_point,
     rand_store,
 )
@@ -438,6 +443,112 @@ class TestMatch:
             (h.subject.value, h.property.value) for h in hits
         ]
         assert keys == sorted(keys)
+
+
+def _coalesce_some(rng, store) -> Store:
+    """Stretch half the bounded rows past their end; the inserts coalesce
+    and replace rows in their index groups."""
+    bounded = [
+        t for t in store.sorted_triples()
+        if t.validity.interval is not None and t.validity.interval.end is not None
+        and not t.validity.interval.is_instant
+    ]
+    stretched = 0
+    for t in rng.sample(bounded, k=(len(bounded) + 1) // 2):
+        iv = t.validity.interval
+        longer = TimeInterval(iv.start, TimePoint(iv.end.year + 3))
+        result = store.insert(replace(t, validity=Validity.during(longer)))
+        stretched += result.effect is Effect.COALESCED
+    assert stretched
+    return store
+
+
+def _mirror_some(rng, store) -> Store:
+    """Also store the flipped copy of some rows, so inverse probes meet
+    derived copies equal to stored rows."""
+    for t in rng.sample(store.sorted_triples(), k=len(store) // 4):
+        inverse = store.vocab.inverse_of(t.property)
+        if inverse is not None:
+            store.insert(replace(t.flipped(inverse), derived=False))
+    return store
+
+
+def _assert_matches_brute_force(rng, store):
+    ghost = Iri(f"{BASE}/person/ghost")
+    rows = oracle_match(store, None, None, None, None, True)
+    subjects = [t.subject for t in rows] + [ghost]
+    props = [pdef.id for pdef in store.vocab.table()]
+    objects = [t.object for t in rows] + [ghost, Literal("absent")]
+    times = [None, At(rand_point(rng)), During(rand_interval(rng)),
+             Overlaps(rand_interval(rng))]
+    for bound in itertools.product([False, True], repeat=3):
+        # half the probes take their terms from one row, so they hit
+        row = rng.choice(rows)
+        own = rng.random() < 0.5
+        subject, prop, obj = (
+            None if not b else own_term if own else rng.choice(pool)
+            for b, own_term, pool in zip(
+                bound, (row.subject, row.property, row.object),
+                (subjects, props, objects))
+        )
+        for time in times:
+            for inference in Inference:
+                got = store.match(Pattern(subject, prop, obj, time, inference))
+                expected = sorted(
+                    oracle_match(store, subject, prop, obj, time,
+                                 inference is Inference.INVERSE),
+                    key=triple_sort_key,
+                )
+                assert [(t, t.derived) for t in got] == [(t, t.derived) for t in expected]
+
+
+class TestIndexEquivalence:
+    """Every probe shape agrees with a brute-force filter over the stored
+    rows and their flipped copies, on terms the store holds and ones it
+    does not."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False),
+           st.sampled_from(["built", "coalesced", "copied", "mirrored"]))
+    def test_match_equals_brute_force(self, rng, variant):
+        store = rand_store(rng, n_people=4, n_bodies=3, n_works=3)
+        stores = [store]
+        if variant == "coalesced":
+            _coalesce_some(rng, store)
+        elif variant == "copied":
+            # coalescing in the copy leaves the original's groups alone
+            stores.append(_coalesce_some(rng, store.copy()))
+        elif variant == "mirrored":
+            _mirror_some(rng, store)
+        for s in stores:
+            _assert_matches_brute_force(rng, s)
+
+
+class TestProbeShape:
+    def test_two_bound_terms_size_the_exact_rows(self, network):
+        for t in network:
+            inverse = network.vocab.inverse_of(t.property)
+            s_p = [x for x in network if x.subject == t.subject and x.property == t.property]
+            s_p += [x for x in network if x.object == t.subject and x.property == inverse]
+            assert network._probe_size(t.subject, t.property, None) == len(s_p)
+            p_o = [x for x in network if x.object == t.object and x.property == t.property]
+            if isinstance(t.object, Iri):
+                p_o += [x for x in network if x.subject == t.object and x.property == inverse]
+            assert network._probe_size(None, t.property, t.object) == len(p_o)
+
+    def test_stored_probe_is_a_list_without_duplicates(self, network, iri):
+        probes = [
+            (iri("person/pA"), None, None),
+            (None, network.vocab.expand("hasSubdivision"), iri("body/facB")),
+            (iri("person/pA"), network.vocab.expand("isStudentOf"), None),
+            (None, network.vocab.expand("kind"), None),
+            (None, None, None),
+        ]
+        for subject, prop, obj in probes:
+            hits = network._match(subject, prop, obj, None, False)
+            assert isinstance(hits, list)
+            assert hits
+            assert len(set(hits)) == len(hits)
 
 
 class TestSnapshot:

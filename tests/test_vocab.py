@@ -111,3 +111,13 @@ def test_every_property_in_the_fixture_graph_is_known(network):
     # the vocabulary is closed over everything ingest emits
     for triple in network:
         assert network.vocab.lookup_id(triple.property) is not None
+
+
+def test_expand_shares_one_iri_per_term():
+    assert DEFAULT_VOCAB.expand("label") is DEFAULT_VOCAB.expand("label")
+    assert DEFAULT_VOCAB.expand("Person") is DEFAULT_VOCAB.class_iri(EntityKind.PERSON)
+    assert DEFAULT_VOCAB.lookup("etd:hasSubdivision").inverse_id is DEFAULT_VOCAB.expand(
+        "isSubdivisionOf"
+    )
+    with pytest.raises(UnknownProperty):
+        DEFAULT_VOCAB.expand("nonsense")
