@@ -300,13 +300,22 @@ def _make_handler(store: Store):
             self.send_header("Content-Type", "text/plain; charset=utf-8")
             self.send_header("Content-Length", str(len(payload)))
             self.end_headers()
-            self.wfile.write(payload)
+            if self.command != "HEAD":
+                self.wfile.write(payload)
 
         def do_GET(self):
-            path = urlsplit(self.path).path
+            try:
+                status, body = self._answer(urlsplit(self.path).path)
+            except Exception:  # still answer; the server prints the traceback
+                self.server.handle_error(self.request, self.client_address)
+                status, body = 500, "internal error"
+            self._send(status, body)
+
+        do_HEAD = do_GET
+
+        def _answer(self, path: str) -> tuple[int, str]:
             if path == "/health":
-                self._send(200, "ok")
-                return
+                return 200, "ok"
             parts = path.lstrip("/").split("/")
             if len(parts) == 3 and parts[0] == "entity" and parts[1] in _ENTITY_SEGMENTS:
                 iri_text = f"{store.base_iri.value.rstrip('/')}/{parts[1]}/{parts[2]}"
@@ -314,11 +323,9 @@ def _make_handler(store: Store):
                     focus = Iri(iri_text)
                     doc = graphio.describe_entity(store, focus)
                 except EtdError:
-                    self._send(404, "not found")
-                    return
-                self._send(200, graphio.serialize_description(store, doc))
-                return
-            self._send(404, "not found")
+                    return 404, "not found"
+                return 200, graphio.serialize_description(store, doc)
+            return 404, "not found"
 
         def _reject(self):
             self._send(405, "read-only endpoint")

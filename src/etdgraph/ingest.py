@@ -252,6 +252,7 @@ class _Builder:
         self.report = IngestReport(records_parsed=len(records))
         self.triples: list[TemporalTriple] = []
         self.local: dict[tuple[EntityKind, str], Iri] = {}
+        self.tags: dict[str, ProvenanceTag] = {}
 
     def error(self, record: Record, line: int, message: str):
         self.report.errors.append(IngestIssue(record.local_id, line, message))
@@ -289,7 +290,12 @@ class _Builder:
     # -- helpers ------------------------------------------------------------
 
     def _provenance(self, record: Record) -> ProvenanceTag:
-        return ProvenanceTag(record.local_id, self.authority, self.batch_date)
+        # one tag object for all of a record's statements
+        tag = self.tags.get(record.local_id)
+        if tag is None:
+            tag = self.tags[record.local_id] = ProvenanceTag(
+                record.local_id, self.authority, self.batch_date)
+        return tag
 
     def _resolve(self, kind: EntityKind, local_id: str, record: Record, line: int) -> Iri:
         hit = self.local.get((kind, local_id))

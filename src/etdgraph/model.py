@@ -2,10 +2,14 @@
 provenance tags, and the temporal statements built from them.
 
 All types here are immutable and hashable, so they can be shared freely
-between threads. Time comparisons work on closed day ranges: a point or
-interval of any precision (year, month, day) is first normalized to its
-first and last calendar day, which makes mixed-precision comparisons
-well defined. The calendar is proleptic Gregorian with no time zones.
+between threads. The value types are slotted dataclasses, with no
+per-instance `__dict__`. `Iri` hashes and compares by its normalized
+text alone and is never equal to a `str` or a `Literal`.
+
+Time comparisons work on closed day ranges: a point or interval of any
+precision (year, month, day) is first normalized to its first and last
+calendar day, which makes mixed-precision comparisons well defined. The
+calendar is proleptic Gregorian with no time zones.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ def _normalize_iri_chars(text: str) -> str:
     return "".join(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iri:
     """An absolute http(s) IRI. Equality is text equality after
     percent-encoding normalization (uppercase hex, non-ASCII encoded)."""
@@ -76,6 +80,12 @@ class Iri:
             raise InvalidIri(f"not an absolute http(s) IRI: {self.value!r}")
         object.__setattr__(self, "value", normalized)
 
+    def __hash__(self) -> int:
+        return hash(self.value)  # str caches its hash
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Iri) and self.value == other.value
+
     def __str__(self) -> str:
         return self.value
 
@@ -85,7 +95,7 @@ class Iri:
         return tail.rsplit("/", 1)[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimePoint:
     """A calendar point with year, month, or day precision.
 
@@ -143,7 +153,7 @@ class TimePoint:
         return self.text()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeInterval:
     """Closed interval between two points; either bound may be absent,
     meaning unbounded on that side (never both). An instant is
@@ -247,7 +257,7 @@ def merge_if_coalescable(a: TimeInterval, b: TimeInterval) -> TimeInterval | Non
     return interval_hull((a, b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Validity:
     """Either time-unqualified (Always) or scoped to an interval."""
 
@@ -297,7 +307,7 @@ class Datatype(str, Enum):
     DATE = "date"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     lexical: str
     datatype: Datatype = Datatype.STRING
@@ -328,7 +338,7 @@ class Literal:
         return self.lexical
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProvenanceTag:
     """Who asserted a statement and from which source record."""
 
@@ -341,7 +351,7 @@ class ProvenanceTag:
             raise InvalidLiteral("provenance source record id must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TemporalTriple:
     """One subject-property-object statement with validity and provenance.
 

@@ -64,33 +64,40 @@ def _require_body(store: Store, body: Iri):
 
 
 def _parents_at(store: Store, body: Iri, t: TimePoint) -> list[Iri]:
-    hits = store.match(
-        Pattern(property=store.vocab.expand("hasSubdivision"), object=body, time=At(t))
-    )
+    hits = store._match(None, store.vocab.expand("hasSubdivision"), body, At(t), False)
     return sorted({h.subject for h in hits}, key=lambda i: i.value)
 
 
 def _walk(store: Store, body: Iri, t: TimePoint) -> tuple[list[Iri], dict[Iri, list[Iri]]]:
     """ancestors_at's answer, plus the valid-at-t parents of body and of
-    each ancestor; each body's parents are probed once."""
+    each ancestor; each body's parents are probed once.
+
+    The cycle check runs only when some parent edge reaches a body seen
+    before (the start body, or a parent shared by two children): without
+    such an edge the reached edges form a tree, which has no cycle.
+    """
     _require_body(store, body)
     order: list[Iri] = []
     parents: dict[Iri, list[Iri]] = {}
     seen = {body}
+    revisited = False
     frontier = [body]
     while frontier:
         layer: list[Iri] = []
         for node in frontier:
             parents[node] = _parents_at(store, node, t)
             for parent in parents[node]:
-                if parent not in seen:
+                if parent in seen:
+                    revisited = True
+                else:
                     seen.add(parent)
                     layer.append(parent)
         layer.sort(key=lambda i: i.value)
         order.extend(layer)
         frontier = layer
 
-    _check_acyclic(parents)
+    if revisited:
+        _check_acyclic(parents)
     return order, parents
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -9,6 +10,8 @@ from etdgraph.model import (
     Datatype,
     Iri,
     Literal,
+    ProvenanceTag,
+    TemporalTriple,
     TimeInterval,
     TimePoint,
     Validity,
@@ -263,6 +266,56 @@ class TestIri:
         assert a == b
         assert hash(a) == hash(b)
         assert (a == c) == (b == c)
+
+
+class TestValueIdentity:
+    def test_escapes_of_either_case_are_one_iri(self):
+        lower, upper = Iri("http://x/%2f"), Iri("http://x/%2F")
+        assert lower == upper
+        assert hash(lower) == hash(upper)
+        assert len({lower, upper}) == 1
+
+    def test_non_ascii_equals_its_percent_encoding(self):
+        raw, encoded = Iri("http://x.org/café"), Iri("http://x.org/caf%C3%A9")
+        assert raw == encoded and hash(raw) == hash(encoded)
+
+    def test_iri_is_not_its_text_or_a_literal(self):
+        node = Iri("http://x.org/a")
+        assert node != "http://x.org/a" and "http://x.org/a" != node
+        assert node != Literal("http://x.org/a")
+        assert Literal("http://x.org/a") != node
+        assert {node: 1}.get("http://x.org/a") is None
+
+    def test_value_types_have_no_instance_dict(self):
+        node = Iri("http://x.org/a")
+        tag = ProvenanceTag("r1", node, TimePoint(2000))
+        values = [
+            node, TimePoint(2000, 1, 2), iv("1990", "2000"), Validity.during(iv("1990")),
+            Literal("x", language="en"), tag,
+            TemporalTriple(node, node, node, Validity(), tag),
+        ]
+        for value in values:
+            assert not hasattr(value, "__dict__"), type(value).__name__
+
+    def test_replace_flip_and_derived_equality(self):
+        s, p, o = Iri("http://x.org/s"), Iri("http://x.org/p"), Iri("http://x.org/o")
+        inverse = Iri("http://x.org/q")
+        tag = ProvenanceTag("r1", s)
+        triple = TemporalTriple(s, p, o, Validity(), tag)
+        later = dataclasses.replace(triple, validity=Validity.during(iv("1990", "2000")))
+        assert (later.subject, later.property, later.object, later.provenance) == (s, p, o, tag)
+        assert later.validity == Validity.during(iv("1990", "2000")) and later != triple
+        flipped = later.flipped(inverse)
+        assert (flipped.subject, flipped.property, flipped.object) == (o, inverse, s)
+        assert flipped.validity == later.validity and flipped.provenance is tag
+        assert flipped.derived and not later.derived
+        stored = TemporalTriple(o, inverse, s, later.validity, tag)
+        assert flipped == stored and hash(flipped) == hash(stored)
+        assert dataclasses.replace(flipped, derived=False) == flipped
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            triple.subject = o
+        with pytest.raises(InvalidLiteral):
+            TemporalTriple(s, p, Literal("x"), Validity(), tag).flipped(inverse)
 
 
 class TestLiteral:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etdgraph import reason
 from etdgraph.errors import (
@@ -25,7 +27,13 @@ from etdgraph.reason import (
 from etdgraph.store import Store
 from etdgraph.vocab import EntityKind
 
-from oracles import AUTHORITY, oracle_reachable_parents, rand_dag_store, rand_point
+from oracles import (
+    AUTHORITY,
+    fast_valid_at,
+    oracle_reachable_parents,
+    rand_dag_store,
+    rand_point,
+)
 
 BASE = Iri("http://example.org/etd")
 
@@ -93,6 +101,65 @@ class TestAncestors:
                 roots = [n for n in {node} | oracle_reachable_parents(store, node, t)
                          if not oracle_reachable_parents(store, n, t)]
                 assert top_institution_at(store, node, t) == min(roots, key=lambda i: i.value)
+
+    # Edge windows around the probed years 1985, 2000 and 2003: some hold
+    # at the probe, some do not.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 6).flatmap(lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(
+                st.integers(0, n - 1), st.integers(0, n - 1),
+                st.sampled_from([(1990, 2010), (None, 2005), (2001, None),
+                                 (1980, 1999), (2000, 2000)]),
+            ), min_size=n, max_size=3 * n),
+        )),
+        st.sampled_from([1985, 2000, 2003]),
+    )
+    def test_walk_matches_oracle_or_raises_its_cycle(self, graph, year):
+        n, edges = graph
+        names = [f"b{i}" for i in range(n)]
+        store, iris = body_store(*names, edges=[
+            (names[p], names[c], start, end) for p, c, (start, end) in edges
+        ])
+        t = TimePoint(year)
+        has_subdivision = store.vocab.expand("hasSubdivision")
+        for start in iris.values():
+            reached = {start} | oracle_reachable_parents(store, start, t)
+            oracle_parents = {
+                node: sorted({x.subject for x in store if x.property == has_subdivision
+                              and x.object == node and fast_valid_at(x.validity, t)},
+                             key=lambda i: i.value)
+                for node in reached
+            }
+            if any(node in oracle_reachable_parents(store, node, t) for node in reached):
+                with pytest.raises(HierarchyCycle) as expected:
+                    reason._check_acyclic(oracle_parents)
+                for walk in (ancestors_at, top_institution_at):
+                    with pytest.raises(HierarchyCycle) as err:
+                        walk(store, start, t)
+                    assert err.value.cycle == expected.value.cycle
+            else:
+                assert set(ancestors_at(store, start, t)) == reached - {start}
+                roots = [node for node in reached if not oracle_parents[node]]
+                assert top_institution_at(store, start, t) == min(roots, key=lambda i: i.value)
+
+    def test_diamond_is_reached_twice_without_a_cycle(self, monkeypatch):
+        store, iris = body_store("u", "s1", "s2", "f", edges=[
+            ("u", "s1", 1990, None), ("u", "s2", 1990, None),
+            ("s1", "f", 1990, None), ("s2", "f", 1990, None),
+        ])
+        checks = []
+        real = reason._check_acyclic
+        monkeypatch.setattr(reason, "_check_acyclic",
+                            lambda parents: checks.append(parents) or real(parents))
+        t = TimePoint(2000)
+        assert ancestors_at(store, iris["f"], t) == [iris["s1"], iris["s2"], iris["u"]]
+        assert top_institution_at(store, iris["f"], t) == iris["u"]
+        assert len(checks) == 2
+        # a chain reaches no body twice, so it needs no cycle check
+        assert ancestors_at(store, iris["s1"], t) == [iris["u"]]
+        assert len(checks) == 2
 
     def test_reasoning_is_read_only(self, network, iri):
         before = export_quads(network)

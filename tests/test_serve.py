@@ -4,6 +4,7 @@ import urllib.request
 
 import pytest
 
+from etdgraph import graphio
 from etdgraph.cli import make_server
 from etdgraph.errors import PortInUse
 from etdgraph.graphio import describe_entity, serialize_description
@@ -88,3 +89,29 @@ def test_port_in_use(network):
             make_server(network, first.server_address[1])
     finally:
         first.server_close()
+
+
+def test_unexpected_error_answers_500(server, monkeypatch, capsys):
+    base_url, _ = server
+
+    def broken(store, focus):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(graphio, "describe_entity", broken)
+    status, body, headers = get(f"{base_url}/entity/person/pA")
+    assert status == 500
+    assert headers["Content-Type"] == "text/plain; charset=utf-8"
+    assert body == b"internal error"
+    assert "RuntimeError: boom" in capsys.readouterr().err
+    assert get(f"{base_url}/health")[:2] == (200, b"ok")
+
+
+def test_head_answers_like_get_without_a_body(server):
+    base_url, _ = server
+    for path in ("/health", "/entity/person/pA"):
+        _, get_body, _ = get(base_url + path)
+        request = urllib.request.Request(base_url + path, method="HEAD")
+        with urllib.request.urlopen(request) as response:
+            assert response.status == 200
+            assert response.headers["Content-Length"] == str(len(get_body))
+            assert response.read() == b""
