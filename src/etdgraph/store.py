@@ -11,15 +11,14 @@ contains the other; day-adjacent instants stay two rows.
 Statements differing in provenance are kept apart deliberately: merging
 assertions from different sources would destroy the audit trail.
 
-Index layout: `_by_subject[s][p]` and `_by_object[o][p]` hold the rows
-of a term pair, so a probe with a bound property and a bound subject or
-object scans exactly its rows; a probe without the property chains the
-term's groups, and a property-only probe scans `_by_property[p]`. The
-groups are lists, not sets, which saves about a fifth of the memory per
-statement; only coalescing removes rows from them. `_by_key` stays: the
-`kind` and `label` groups of a value entity such as `gender/male` grow
-with every mention, so finding the rows to coalesce with in the `(s, p)`
-group would make ingest quadratic.
+Index layout: rows live only in `_by_subject[s][p]`, `_by_object[o][p]`
+and `_by_key`, in lists, so no row is hashed; only coalescing removes
+rows. A probe with a bound property and a bound subject or object scans
+exactly the rows of that term pair; one without the property chains the
+term's groups. `_by_property[p]` holds the `_by_subject[s][p]` lists
+themselves. `_by_key` stays: the `kind` and `label` groups of a value
+entity such as `gender/male` grow with every mention, so finding the
+rows to coalesce with in the `(s, p)` group would make ingest quadratic.
 
 Concurrency contract: many readers or one writer. A store that is no
 longer mutated can be shared between threads as an immutable snapshot.
@@ -27,12 +26,11 @@ longer mutated can be shared between threads as an immutable snapshot.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain
-from operator import itemgetter
 
 from .errors import InvalidTriple, KindMismatch
 from .model import (
@@ -193,10 +191,9 @@ def _passes(validity: Validity, constraint: TimeConstraint | None) -> bool:
     return validity.overlaps(constraint.interval)
 
 
-def _unifies(t: TemporalTriple, subject, prop, obj, time: TimeConstraint | None) -> bool:
+def _unifies(t: TemporalTriple, subject, obj, time: TimeConstraint | None) -> bool:
     return (
         (subject is None or t.subject == subject)
-        and (prop is None or t.property == prop)
         and (obj is None or t.object == obj)
         and _passes(t.validity, time)
     )
@@ -206,25 +203,25 @@ class Store:
     def __init__(self, vocab: Vocabulary | None = None, base_iri: str | Iri = DEFAULT_BASE_IRI):
         self.vocab = vocab if vocab is not None else DEFAULT_VOCAB
         self.base_iri = base_iri if isinstance(base_iri, Iri) else Iri(base_iri)
-        self._triples: set[TemporalTriple] = set()
         self._by_subject: dict[Iri, dict[Iri, list[TemporalTriple]]] = {}
         self._by_object: dict[Iri | Literal, dict[Iri, list[TemporalTriple]]] = {}
-        self._by_property: dict[Iri, set[TemporalTriple]] = defaultdict(set)
+        self._by_property: dict[Iri, dict[Iri, list[TemporalTriple]]] = {}
+        self._property_rows: Counter[Iri] = Counter()
         # coalescing index: (subject, property, object, provenance) -> rows
         self._by_key: dict[tuple, list[TemporalTriple]] = {}
         self._kinds: dict[Iri, EntityKind] = {}
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return sum(self._property_rows.values())
 
     def __iter__(self):
-        return iter(self._triples)
+        return chain.from_iterable(self._by_key.values())
 
     def __contains__(self, triple: TemporalTriple) -> bool:
-        return triple in self._triples
+        return triple in self._by_key.get(_key(triple), ())
 
     def sorted_triples(self) -> list[TemporalTriple]:
-        return sorted(self._triples, key=triple_sort_key)
+        return sorted(self, key=triple_sort_key)
 
     def kind_of(self, entity: Iri) -> EntityKind | None:
         return self._kinds.get(entity)
@@ -243,11 +240,10 @@ class Store:
 
     def copy(self) -> "Store":
         clone = Store(self.vocab, self.base_iri)
-        clone._triples = set(self._triples)
         clone._by_subject = {s: {p: list(r) for p, r in g.items()} for s, g in self._by_subject.items()}
         clone._by_object = {o: {p: list(r) for p, r in g.items()} for o, g in self._by_object.items()}
-        for key, vals in self._by_property.items():
-            clone._by_property[key] = set(vals)
+        clone._by_property = {p: {s: clone._by_subject[s][p] for s in g} for p, g in self._by_property.items()}
+        clone._property_rows = Counter(self._property_rows)
         clone._by_key = {key: list(rows) for key, rows in self._by_key.items()}
         clone._kinds = dict(self._kinds)
         return clone
@@ -337,16 +333,17 @@ class Store:
                 )
 
     def _add(self, triple: TemporalTriple, pdef: PropertyDef):
-        self._triples.add(triple)
         self._by_key.setdefault(_key(triple), []).append(triple)
-        self._by_subject.setdefault(triple.subject, {}).setdefault(triple.property, []).append(triple)
+        rows = self._by_subject.setdefault(triple.subject, {}).setdefault(triple.property, [])
+        if not rows:  # a new list (or one emptied to coalesce): share it
+            self._by_property.setdefault(triple.property, {})[triple.subject] = rows
+        rows.append(triple)
         self._by_object.setdefault(triple.object, {}).setdefault(triple.property, []).append(triple)
-        self._by_property[triple.property].add(triple)
+        self._property_rows[triple.property] += 1
         if pdef.range_kind is KIND_CLASS:
             self._kinds[triple.subject] = self.vocab.kind_for_class(triple.object)
 
     def _remove(self, triple: TemporalTriple):
-        self._triples.discard(triple)
         key = _key(triple)
         rows = self._by_key[key]
         rows.remove(triple)
@@ -354,7 +351,7 @@ class Store:
             del self._by_key[key]
         self._by_subject[triple.subject][triple.property].remove(triple)
         self._by_object[triple.object][triple.property].remove(triple)
-        self._by_property[triple.property].discard(triple)
+        self._property_rows[triple.property] -= 1
 
     # -- matching -----------------------------------------------------------
 
@@ -376,52 +373,55 @@ class Store:
     def _match(self, subject, prop, obj, time, inverse: bool) -> Iterable[TemporalTriple]:
         """`match` unsorted, for a known property: the probe a query join
         makes once per binding."""
-        _, stored, _, flippable = self._pools(subject, prop, obj, inverse)
-        hits = [t for t in stored if _unifies(t, subject, prop, obj, time)]
+        (_, stored, s, o), (_, flippable, fs, fo) = self._pools(subject, prop, obj, inverse)
+        hits = [t for t in stored if _unifies(t, s, o, time)]
         if not flippable:
             return hits  # index rows are distinct
         out = dict.fromkeys(hits)
-        for t in flippable:
-            inverse_prop = self.vocab.inverse_of(t.property)
-            if inverse_prop is None or not isinstance(t.object, Iri):
-                continue
-            flipped = t.flipped(inverse_prop)
-            if _unifies(flipped, subject, prop, obj, time):
-                out.setdefault(flipped)  # an equal stored row keeps its key
+        for t in flippable:  # matched unflipped: flipping keeps the validity
+            if _unifies(t, fs, fo, time) and isinstance(t.object, Iri):
+                inverse_prop = self.vocab.inverse_of(t.property)
+                if inverse_prop is not None:
+                    out.setdefault(t.flipped(inverse_prop))  # an equal stored row keeps its key
         return out.keys()
 
     def _probe_size(self, subject, prop, obj) -> int:
         """Rows a probe with inverse inference scans, stored and flippable."""
-        stored_size, _, flippable_size, _ = self._pools(subject, prop, obj, True)
-        return stored_size + flippable_size
+        stored, flippable = self._pools(subject, prop, obj, True)
+        return stored[0] + flippable[0]
 
     def _pools(self, subject, prop, obj, inverse: bool):
-        """The smallest index pool holding every stored statement that may
-        unify with the terms, and with `inverse`, the smallest holding
-        every statement whose flipped copy may unify; each with its size."""
+        """The smallest pool of stored rows that may unify with the terms and,
+        with `inverse`, of rows whose flipped copy may (see `_smallest_pool`)."""
         stored = self._smallest_pool(subject, prop, obj)
         if not inverse or isinstance(subject, Literal) or isinstance(obj, Literal):
-            return *stored, 0, ()  # a flipped copy has entities at both ends
-        # Flipping swaps s/o and maps the property to its inverse, so the
-        # flippable statements are those of the reversed terms.
+            return stored, (0, (), None, None)  # a flipped copy has entities at both ends
+        # Flipping swaps s/o and maps the property to its inverse (an
+        # involution), so the flippable rows are those of the reversed terms.
         stored_prop = None
         if prop is not None:
             stored_prop = self.vocab.inverse_of(prop)
             if stored_prop is None:
-                return *stored, 0, ()
-        return *stored, *self._smallest_pool(obj, stored_prop, subject)
+                return stored, (0, (), None, None)
+        return stored, self._smallest_pool(obj, stored_prop, subject)
 
-    def _smallest_pool(self, subject, prop, obj) -> tuple[int, Iterable[TemporalTriple]]:
-        pools = []
+    def _smallest_pool(self, subject, prop, obj) -> tuple:
+        """The smallest pool of rows with the terms, its size, and the subject
+        and object its rows must still match (every pool fixes the property)."""
         if subject is not None:
-            pools.append(_group(self._by_subject, subject, prop))
+            size, rows = _group(self._by_subject, subject, prop)
+            if obj is not None:
+                by_object = _group(self._by_object, obj, prop)
+                if by_object[0] < size:
+                    return *by_object, subject, None
+            return size, rows, None, obj
         if obj is not None:
-            pools.append(_group(self._by_object, obj, prop))
-        if pools:
-            return min(pools, key=itemgetter(0))
-        rows = self._triples if prop is None else self._by_property.get(prop, ())
-        return len(rows), rows
+            return *_group(self._by_object, obj, prop), None, None
+        if prop is None:
+            return len(self), iter(self), None, None
+        subjects = self._by_property.get(prop, {})
+        return self._property_rows[prop], chain.from_iterable(subjects.values()), None, None
 
     def snapshot_at(self, t: TimePoint) -> set[TemporalTriple]:
         """Statements valid at t; Always statements are always included."""
-        return {x for x in self._triples if x.validity.contains(t)}
+        return {x for x in self if x.validity.contains(t)}

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -278,14 +279,25 @@ class TestInsert:
         second = make_triple(store, person, "isProfessorAt", body,
                              Validity.during(interval("2005", "2008")))
         merged = InsertResult(Effect.COALESCED, Validity.during(interval("2000", "2008")))
+        by_property = Pattern(property=first.property)
+        size, probed = len(store), store.match(by_property)
         clone = store.copy()
         assert clone.insert(second) == merged
         assert len(clone) == len(store)
         assert first not in clone
         assert store.sorted_triples() == before
+        # the clone's property index holds its own lists, not the original's
+        assert len(store) == size
+        assert store.match(by_property) == probed
+        assert [t.validity for t in clone.match(by_property)] == [merged.validity]
         # the original's own index still holds its row, so it coalesces too
         assert store.insert(second) == merged
         assert store.sorted_triples() == clone.sorted_triples()
+        # a row only the clone gains counts in the clone only
+        later = make_triple(store, person, "isProfessorAt", body,
+                            Validity.during(interval("2010", "2012")))
+        assert clone.insert(later).effect is Effect.INSERTED
+        assert len(store) == len(clone) - 1
 
 
 _BODY = Iri(f"{BASE}/body/b")
@@ -445,9 +457,9 @@ class TestMatch:
         assert keys == sorted(keys)
 
 
-def _coalesce_some(rng, store) -> Store:
+def _coalesce_some(rng, store, replaced=None) -> Store:
     """Stretch half the bounded rows past their end; the inserts coalesce
-    and replace rows in their index groups."""
+    and replace rows in their index groups, which go to `replaced`."""
     bounded = [
         t for t in store.sorted_triples()
         if t.validity.interval is not None and t.validity.interval.end is not None
@@ -459,6 +471,8 @@ def _coalesce_some(rng, store) -> Store:
         longer = TimeInterval(iv.start, TimePoint(iv.end.year + 3))
         result = store.insert(replace(t, validity=Validity.during(longer)))
         stretched += result.effect is Effect.COALESCED
+        if replaced is not None and result.effect is Effect.COALESCED:
+            replaced.append(t)
     assert stretched
     return store
 
@@ -502,6 +516,27 @@ def _assert_matches_brute_force(rng, store):
                 assert [(t, t.derived) for t in got] == [(t, t.derived) for t in expected]
 
 
+def _assert_indexes_agree(store, replaced):
+    """The subject, object and property indexes reach the rows `iter`
+    does, each once; `len`, `in` and property-only pool sizes agree."""
+    rows = Counter(store)
+    props = [pdef.id for pdef in store.vocab.table()]
+    for reached in (
+        (t for groups in store._by_subject.values() for g in groups.values() for t in g),
+        (t for groups in store._by_object.values() for g in groups.values() for t in g),
+        (t for p in props for t in store._match(None, p, None, None, False)),
+    ):
+        assert Counter(reached) == rows
+    assert set(rows.values()) <= {1}
+    assert len(store) == len(rows)
+    assert all(t in store for t in rows)
+    assert not any(t in store for t in replaced)
+    for p in props:
+        inverse = store.vocab.inverse_of(p)
+        expected = sum(t.property == p for t in rows) + sum(t.property == inverse for t in rows)
+        assert store._probe_size(None, p, None) == expected
+
+
 class TestIndexEquivalence:
     """Every probe shape agrees with a brute-force filter over the stored
     rows and their flipped copies, on terms the store holds and ones it
@@ -522,6 +557,22 @@ class TestIndexEquivalence:
             _mirror_some(rng, store)
         for s in stores:
             _assert_matches_brute_force(rng, s)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False),
+           st.sampled_from(["built", "coalesced", "copied", "mirrored"]))
+    def test_indexes_agree(self, rng, variant):
+        store = rand_store(rng, n_people=4, n_bodies=3, n_works=3)
+        checks = [(store, [])]
+        if variant == "coalesced":
+            _coalesce_some(rng, store, checks[0][1])
+        elif variant == "copied":
+            replaced = []
+            checks.append((_coalesce_some(rng, store.copy(), replaced), replaced))
+        elif variant == "mirrored":
+            _mirror_some(rng, store)
+        for s, replaced in checks:
+            _assert_indexes_agree(s, replaced)
 
 
 class TestProbeShape:
