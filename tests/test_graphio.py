@@ -2,6 +2,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etdgraph.errors import DanglingContext, NotFound, QuadParseError
 from etdgraph.graphio import (
@@ -13,7 +15,16 @@ from etdgraph.graphio import (
     serialize_description,
 )
 from etdgraph.ingest import parse_records, records_to_graph
-from etdgraph.model import Iri, Literal, ProvenanceTag, TemporalTriple, Validity
+from etdgraph.model import (
+    Datatype,
+    Iri,
+    Literal,
+    ProvenanceTag,
+    TemporalTriple,
+    TimeInterval,
+    TimePoint,
+    Validity,
+)
 from etdgraph.store import Store
 from etdgraph.vocab import EntityKind
 
@@ -131,6 +142,94 @@ class TestImport:
         for t in reversed(store.sorted_triples()):
             clone.insert(t)
         assert export_quads(clone) == export_quads(store)
+
+
+X = "<http://a.org/x> <http://a.org/y>"
+CTX = "<http://a.org/c>"
+VOCAB = "http://example.org/etd/vocab#"
+
+# Malformed lines and the message import_quads reports for them.
+BAD_LINES = [
+    (f"{X} <http://a.org/z> {CTX}", "missing terminating '.'"),
+    (f"{X} <http://a.org/z> {CTX}   ", "missing terminating '.'"),
+    (f"{X} <http://a.org/z> {CTX} . x", "content after terminating '.'"),
+    (f"{X} <http://a.org/z> {CTX} ..", "content after terminating '.'"),
+    (f"{X} <http://a.org/z", "unterminated IRI"),
+    (f'{X} "abc {CTX} .', "unterminated literal"),
+    (f'{X} "a\\qb" {CTX} .', "bad escape in literal"),
+    (f'{X} "ab\\', "bad escape in literal"),
+    (f'{X} "z"^^<http://x.org/t .', "unterminated datatype IRI"),
+    (f'{X} "z"^^<http://x.org/t> {CTX} .', "unsupported datatype <http://x.org/t>"),
+    (f"{X} _:b {CTX} .", "unexpected character '_'"),
+    (f'{X} "z" ^^<http://x.org/t> {CTX} .', "unexpected character '^'"),
+    (f'{X} "z"@en^^<http://x.org/t> {CTX} .', "unexpected character '^'"),
+    (f'{X} "z"@en_GB {CTX} .', "unexpected character '_'"),
+    (f"<http://a.org/x>\r{X} {CTX} .", "unexpected character '\\r'"),
+    (".", "expected 3 or 4 terms, got 0"),
+    (f"{X} .", "expected 3 or 4 terms, got 2"),
+    (f"{X} <http://a.org/z> {CTX} <http://a.org/d> .", "expected 3 or 4 terms, got 5"),
+    (f'"c" <{VOCAB}source> "s" .', "context and key must be IRIs"),
+    (f'{CTX} <{VOCAB}authority> "s" .', "authority must be an IRI"),
+    (f'{CTX} <{VOCAB}when> "s" .', "unknown context metadata key 'when'"),
+]
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("line,message", BAD_LINES)
+    def test_message_and_line(self, line, message):
+        doc = f'{CTX} <{VOCAB}source> "s" .\n\n{line}\n'
+        with pytest.raises(QuadParseError) as err:
+            import_quads(doc)
+        assert err.value.line == 3
+        assert str(err.value) == f"line 3: {message}"
+
+
+_years = st.integers(1, 9999)
+_points = st.one_of(
+    st.builds(TimePoint, _years),
+    st.builds(TimePoint, _years, st.integers(1, 12)),
+    st.builds(TimePoint, _years, st.integers(1, 12), st.integers(1, 28)),
+)
+
+
+def _validity(bounds):
+    start, end = bounds
+    if start is None and end is None:
+        return Validity()
+    if start is not None and end is not None and start.first_day() > end.last_day():
+        start, end = end, start
+    return Validity.during(TimeInterval(start, end))
+
+
+_validities = st.tuples(st.one_of(st.none(), _points), st.one_of(st.none(), _points)).map(_validity)
+_labels = st.builds(
+    Literal, st.text(), st.just(Datatype.STRING),
+    st.one_of(st.none(), st.from_regex(r"[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8}){0,2}", fullmatch=True)),
+)
+_sources = st.text(min_size=1).filter(str.strip)
+# IRI text without the characters RFC 3987 excludes (space, <>"{}|\^`)
+_authorities = st.text(
+    st.characters(min_codepoint=0x21, blacklist_characters='%<>"{}|\\^`',
+                  blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")),
+    max_size=12,
+).map(lambda path: Iri(f"http://auth.example.org/{path}"))
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_labels, _sources, _authorities, _validities),
+                    min_size=1, max_size=6))
+    def test_export_import_is_identity(self, rows):
+        store = Store(base_iri=BASE)
+        v = store.vocab
+        person = Iri(f"{BASE}/person/p1")
+        for label, source, authority, validity in rows:
+            provenance = ProvenanceTag(source, authority)
+            store.insert(TemporalTriple(person, v.expand("kind"), v.class_iri(EntityKind.PERSON),
+                                        Validity(), provenance))
+            store.insert(TemporalTriple(person, v.expand("label"), label, validity, provenance))
+        doc = export_quads(store)
+        assert export_quads(import_quads(doc)) == doc
 
 
 DOT_NODE = re.compile(r'^  (\w+) \[shape=(\w+), label="(?:[^"\\]|\\.)*"\];$')
