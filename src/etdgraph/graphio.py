@@ -13,9 +13,9 @@ temporal scope and provenance as ordinary triples::
 
 validFrom/validTo are omitted on the open side and entirely for
 unqualified statements. The context IRI is base/ctx/ plus the first 16
-hex chars of SHA-256 over the serialized (validFrom, validTo, source,
-authority), so equal scopes share one context across runs. The
-validFrom/validTo/source/authority keys are a local convention of this
+hex chars of SHA-256 over (validFrom, validTo, source, authority), so
+equal scopes share one context across runs; a writer builds each
+distinct scope's context once. The keys are a local convention of this
 format, not a published vocabulary.
 
 The export is canonical: data quads in store order, then context
@@ -26,10 +26,11 @@ byte-identical to export(s).
 from __future__ import annotations
 
 import hashlib
+import re
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import DanglingContext, NotFound, QuadParseError
+from .errors import DanglingContext, EtdError, NotFound, QuadParseError
 from .model import (
     ALWAYS,
     Datatype,
@@ -64,17 +65,32 @@ _NODE_SHAPE = {
     EntityKind.EXTERNAL_RESOURCE: "plaintext",
 }
 
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+_ESCAPED = re.compile(r"\\(.)")
+
+_LITERAL_BODY = r'(?:[^"\\]|\\[\\"nrt])*'
+# One term after optional blanks: an IRI, a literal with an optional
+# language tag or datatype, or the final '.' with only whitespace after it.
+_TERM = re.compile(
+    rf"""[ \t]*(?:
+        <(?P<iri>[^>]*)>
+      | "(?P<lexical>{_LITERAL_BODY})"
+        (?:@(?P<lang>(?:[^\W_]|-)*)|\^\^<(?P<xsd>[^>]*)>)?
+      | (?P<end>\.)\s*\Z
+    )""",
+    re.VERBOSE,
+)
+_LITERAL_HEAD = re.compile('"' + _LITERAL_BODY)
 
 
 def escape_literal(text: str) -> str:
-    return "".join(_ESCAPES.get(c, c) for c in text)
+    return text.translate(_ESCAPES)
 
 
 def _term_text(value: Iri | Literal) -> str:
     if isinstance(value, Iri):
-        return f"<{value}>"
+        return f"<{value.value}>"
     out = f'"{escape_literal(value.lexical)}"'
     if value.language:
         return f"{out}@{value.language}"
@@ -83,49 +99,31 @@ def _term_text(value: Iri | Literal) -> str:
     return out
 
 
-def _validity_bounds(validity: Validity) -> tuple[str, str]:
-    if validity.is_always:
-        return "", ""
-    iv = validity.interval
-    return (
-        iv.start.text() if iv.start else "",
-        iv.end.text() if iv.end else "",
-    )
-
-
-def context_iri(store_base: Iri, validity: Validity, provenance: ProvenanceTag) -> Iri:
-    valid_from, valid_to = _validity_bounds(validity)
+def _context(store: Store, validity: Validity, provenance: ProvenanceTag,
+             meta_lines: set[str]) -> str:
+    """`<ctx>` text of one scope; adds the scope's metadata lines to
+    `meta_lines`."""
+    valid_from = valid_to = ""
+    if not validity.is_always:
+        iv = validity.interval
+        valid_from = iv.start.text() if iv.start else ""
+        valid_to = iv.end.text() if iv.end else ""
+    source = provenance.source_record_id
+    authority = provenance.asserting_authority.value
     payload = (
-        f"validFrom={valid_from}\n"
-        f"validTo={valid_to}\n"
-        f"source={provenance.source_record_id}\n"
-        f"authority={provenance.asserting_authority}\n"
+        f"validFrom={valid_from}\nvalidTo={valid_to}\n"
+        f"source={source}\nauthority={authority}\n"
     )
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-    return Iri(f"{store_base.value.rstrip('/')}/ctx/{digest}")
-
-
-def _context_meta_lines(store: Store, ctx: Iri, validity: Validity,
-                        provenance: ProvenanceTag) -> list[str]:
+    ctx = f"<{store.base_iri.value.rstrip('/')}/ctx/{digest}>"
     ns = store.vocab.namespace
-    valid_from, valid_to = _validity_bounds(validity)
-    lines = []
     if valid_from:
-        lines.append(f'<{ctx}> <{ns}validFrom> "{valid_from}" .')
+        meta_lines.add(f'{ctx} <{ns}validFrom> "{valid_from}" .')
     if valid_to:
-        lines.append(f'<{ctx}> <{ns}validTo> "{valid_to}" .')
-    lines.append(
-        f'<{ctx}> <{ns}source> "{escape_literal(provenance.source_record_id)}" .'
-    )
-    lines.append(f"<{ctx}> <{ns}authority> <{provenance.asserting_authority}> .")
-    return lines
-
-
-def _data_line(triple: TemporalTriple, ctx: Iri) -> str:
-    return (
-        f"<{triple.subject}> <{triple.property}> "
-        f"{_term_text(triple.object)} <{ctx}> ."
-    )
+        meta_lines.add(f'{ctx} <{ns}validTo> "{valid_to}" .')
+    meta_lines.add(f'{ctx} <{ns}source> "{escape_literal(source)}" .')
+    meta_lines.add(f"{ctx} <{ns}authority> <{authority}> .")
+    return ctx
 
 
 def _quad_text(store: Store, triples) -> str:
@@ -133,11 +131,14 @@ def _quad_text(store: Store, triples) -> str:
     lines, sorted and deduplicated."""
     data_lines = []
     meta_lines: set[str] = set()
-    for triple in triples:
-        ctx = context_iri(store.base_iri, triple.validity, triple.provenance)
-        data_lines.append(_data_line(triple, ctx))
-        meta_lines.update(
-            _context_meta_lines(store, ctx, triple.validity, triple.provenance)
+    contexts: dict[tuple[Validity, ProvenanceTag], str] = {}
+    for t in triples:
+        scope = (t.validity, t.provenance)
+        ctx = contexts.get(scope)
+        if ctx is None:
+            ctx = contexts[scope] = _context(store, *scope, meta_lines)
+        data_lines.append(
+            f"<{t.subject.value}> <{t.property.value}> {_term_text(t.object)} {ctx} ."
         )
     lines = data_lines + sorted(meta_lines)
     return "\n".join(lines) + "\n" if lines else ""
@@ -154,78 +155,46 @@ def _lex_quad_line(line: str, lineno: int, iris: dict[str, Iri]) -> list:
     """Terms of one line; `iris` maps IRI text already seen to its Iri, so
     every occurrence of one text shares one object."""
     terms = []
-    i = 0
-    n = len(line)
-    while i < n:
-        c = line[i]
-        if c in " \t":
-            i += 1
-            continue
-        if c == ".":
-            if line[i:].strip() != ".":
-                raise QuadParseError(lineno, "content after terminating '.'")
+    pos = 0
+    while True:
+        m = _TERM.match(line, pos)
+        if m is None:
+            raise QuadParseError(lineno, _lex_error(line, pos))
+        iri, lexical, language, xsd, end = m.groups()
+        if end:
             return terms
-        if c == "<":
-            end = line.find(">", i)
-            if end < 0:
-                raise QuadParseError(lineno, "unterminated IRI")
-            text = line[i + 1 : end]
-            iri = iris.get(text)
-            if iri is None:
-                iri = iris[text] = Iri(text)
-            terms.append(iri)
-            i = end + 1
-            continue
-        if c == '"':
-            lexical, i = _lex_string(line, i, lineno)
+        if iri is not None:
+            term = iris.get(iri)
+            if term is None:
+                term = iris[iri] = Iri(iri)
+        else:
+            if "\\" in lexical:
+                lexical = _ESCAPED.sub(lambda e: _UNESCAPES[e[1]], lexical)
             datatype = Datatype.STRING
-            language = None
-            if line.startswith("@", i):
-                j = i + 1
-                while j < n and (line[j].isalnum() or line[j] == "-"):
-                    j += 1
-                language = line[i + 1 : j]
-                i = j
-            elif line.startswith("^^<", i):
-                end = line.find(">", i + 2)
-                if end < 0:
-                    raise QuadParseError(lineno, "unterminated datatype IRI")
-                xsd = line[i + 3 : end]
+            if xsd is not None:
                 datatype = _DATATYPE_BY_XSD.get(xsd)
                 if datatype is None:
                     raise QuadParseError(lineno, f"unsupported datatype <{xsd}>")
-                i = end + 1
-            terms.append(Literal(lexical, datatype, language))
-            continue
-        raise QuadParseError(lineno, f"unexpected character {c!r}")
-    raise QuadParseError(lineno, "missing terminating '.'")
+            term = Literal(lexical, datatype, language)
+        terms.append(term)
+        pos = m.end()
 
 
-def _lex_string(line: str, start: int, lineno: int) -> tuple[str, int]:
-    out = []
-    i = start + 1
-    n = len(line)
-    while i < n:
-        c = line[i]
-        if c == "\\":
-            if i + 1 >= n or line[i + 1] not in _UNESCAPES:
-                raise QuadParseError(lineno, "bad escape in literal")
-            out.append(_UNESCAPES[line[i + 1]])
-            i += 2
-            continue
-        if c == '"':
-            return "".join(out), i + 1
-        out.append(c)
-        i += 1
-    raise QuadParseError(lineno, "unterminated literal")
-
-
-@dataclass
-class _ContextInfo:
-    valid_from: str | None = None
-    valid_to: str | None = None
-    source: str | None = None
-    authority: Iri | None = None
+def _lex_error(line: str, pos: int) -> str:
+    """Why no term starts at `pos`."""
+    if line.startswith("^^<", pos) and line[pos - 1 : pos] == '"':
+        return "unterminated datatype IRI"
+    rest = line[pos:].lstrip(" \t")
+    if not rest:
+        return "missing terminating '.'"
+    if rest[0] == ".":
+        return "content after terminating '.'"
+    if rest[0] == "<":
+        return "unterminated IRI"
+    if rest[0] == '"':
+        bad_escape = rest.startswith("\\", _LITERAL_HEAD.match(rest).end())
+        return "bad escape in literal" if bad_escape else "unterminated literal"
+    return f"unexpected character {rest[0]!r}"
 
 
 def import_quads(
@@ -236,23 +205,28 @@ def import_quads(
     """Rebuild a store from its canonical quad serialization.
 
     The base IRI and vocabulary namespace are recovered from the
-    document itself when not supplied.
+    document itself when not supplied. Every error on a line names it;
+    a context given two different values for one key is rejected.
     """
     data: list[tuple[int, Iri, Iri, Iri | Literal, Iri]] = []
-    contexts: dict[Iri, _ContextInfo] = {}
+    # validFrom/validTo -> TimePoint, source -> str, authority -> Iri
+    contexts: dict[Iri, dict[str, TimePoint | str | Iri]] = {}
     meta_ns: str | None = None
     iris: dict[str, Iri] = {}
 
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        if not raw.strip():
-            continue
-        terms = _lex_quad_line(raw, lineno, iris)
-        if len(terms) == 4:
-            s, p, o, ctx = terms
-            if not isinstance(s, Iri) or not isinstance(p, Iri) or not isinstance(ctx, Iri):
-                raise QuadParseError(lineno, "subject, property, context must be IRIs")
-            data.append((lineno, s, p, o, ctx))
-        elif len(terms) == 3:
+    try:
+        for lineno, raw in enumerate(text.split("\n"), start=1):
+            if not raw.strip():
+                continue
+            terms = _lex_quad_line(raw, lineno, iris)
+            if len(terms) == 4:
+                s, p, o, ctx = terms
+                if not isinstance(s, Iri) or not isinstance(p, Iri) or not isinstance(ctx, Iri):
+                    raise QuadParseError(lineno, "subject, property, context must be IRIs")
+                data.append((lineno, s, p, o, ctx))
+                continue
+            if len(terms) != 3:
+                raise QuadParseError(lineno, f"expected 3 or 4 terms, got {len(terms)}")
             ctx, key_iri, value = terms
             if not isinstance(ctx, Iri) or not isinstance(key_iri, Iri):
                 raise QuadParseError(lineno, "context and key must be IRIs")
@@ -260,19 +234,19 @@ def import_quads(
             if key not in _META_KEYS:
                 raise QuadParseError(lineno, f"unknown context metadata key {key!r}")
             meta_ns = meta_ns or ns + "#"
-            info = contexts.setdefault(ctx, _ContextInfo())
-            if key == "validFrom":
-                info.valid_from = value.lexical
-            elif key == "validTo":
-                info.valid_to = value.lexical
-            elif key == "source":
-                info.source = value.lexical
-            else:
+            if key == "authority":
                 if not isinstance(value, Iri):
                     raise QuadParseError(lineno, "authority must be an IRI")
-                info.authority = value
-        else:
-            raise QuadParseError(lineno, f"expected 3 or 4 terms, got {len(terms)}")
+            elif not isinstance(value, Literal):
+                raise QuadParseError(lineno, f"{key} must be a literal")
+            else:
+                value = value.lexical if key == "source" else TimePoint.parse(value.lexical)
+            if contexts.setdefault(ctx, {}).setdefault(key, value) != value:
+                raise QuadParseError(lineno, f"context <{ctx}> already has another {key}")
+    except QuadParseError:
+        raise
+    except EtdError as exc:
+        raise QuadParseError(lineno, str(exc)) from exc
 
     if vocab is None:
         vocab = Vocabulary(meta_ns) if meta_ns else Vocabulary()
@@ -289,29 +263,29 @@ def import_quads(
     store = Store(vocab, base) if base is not None else Store(vocab)
     # one (validity, provenance) per context, built at its first data line
     scopes: dict[Iri, tuple[Validity, ProvenanceTag]] = {}
-    for lineno, s, p, o, ctx in data:
-        scope = scopes.get(ctx)
-        if scope is None:
-            scope = scopes[ctx] = _context_scope(contexts.get(ctx), ctx, lineno)
-        validity, provenance = scope
-        store.insert(TemporalTriple(s, p, o, validity, provenance))
+    try:
+        for lineno, s, p, o, ctx in data:
+            scope = scopes.get(ctx)
+            if scope is None:
+                scope = scopes[ctx] = _context_scope(contexts.get(ctx), ctx, lineno)
+            store.insert(TemporalTriple(s, p, o, *scope))
+    except DanglingContext:
+        raise
+    except EtdError as exc:
+        raise QuadParseError(lineno, str(exc)) from exc
     return store
 
 
-def _context_scope(info: _ContextInfo | None, ctx: Iri,
+def _context_scope(meta: dict | None, ctx: Iri,
                    lineno: int) -> tuple[Validity, ProvenanceTag]:
-    if info is None or info.source is None or info.authority is None:
+    if meta is None or "source" not in meta or "authority" not in meta:
         raise DanglingContext(f"line {lineno}: context <{ctx}> has no complete metadata")
-    if info.valid_from is None and info.valid_to is None:
+    start, end = meta.get("validFrom"), meta.get("validTo")
+    if start is None and end is None:
         validity = ALWAYS
     else:
-        validity = Validity.during(
-            TimeInterval(
-                TimePoint.parse(info.valid_from) if info.valid_from else None,
-                TimePoint.parse(info.valid_to) if info.valid_to else None,
-            )
-        )
-    return validity, ProvenanceTag(info.source, info.authority)
+        validity = Validity.during(TimeInterval(start, end))
+    return validity, ProvenanceTag(meta["source"], meta["authority"])
 
 
 # -- DOT export ---------------------------------------------------------------

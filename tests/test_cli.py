@@ -259,6 +259,16 @@ class TestDescribeAndStats:
         assert "works\t3" in lines
         assert "places\t0" in lines
 
+    def test_stats_on_malformed_metadata_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tnq"
+        bad.write_text(
+            "<http://a.org/c> <http://example.org/etd/vocab#source> <http://x.org/y> .\n",
+            encoding="utf-8",
+        )
+        code, _, stderr = run(capsys, ["stats", "--store", str(bad)])
+        assert code == 2
+        assert stderr == "error: line 1: source must be a literal\n"
+
 
 class TestDeterminism:
     def test_identical_invocations_identical_bytes(self, store_path, capsys):

@@ -184,6 +184,81 @@ class TestParseErrors:
         assert str(err.value) == f"line 3: {message}"
 
 
+def _with_line(doc: str, line: str) -> tuple[str, int]:
+    """The document with one line appended, and that line's number."""
+    return doc + line + "\n", len(doc.splitlines()) + 1
+
+
+class TestImportRules:
+    def doc_and_ctx(self):
+        store, _ = one_triple_store()
+        doc = export_quads(store)
+        return doc, re.search(r"<(\S+/ctx/\S+)>", doc).group(1)
+
+    @pytest.mark.parametrize("key", ["source", "validFrom", "validTo"])
+    def test_metadata_value_must_be_a_literal(self, key):
+        doc, lineno = _with_line("", f"{CTX} <{VOCAB}{key}> <http://x.org/y> .")
+        with pytest.raises(QuadParseError) as err:
+            import_quads(doc)
+        assert err.value.line == lineno
+        assert str(err.value) == f"line {lineno}: {key} must be a literal"
+
+    def test_conflicting_metadata_rejected(self):
+        doc, ctx = self.doc_and_ctx()
+        bad, lineno = _with_line(doc, f'<{ctx}> <{VOCAB}source> "other" .')
+        with pytest.raises(QuadParseError) as err:
+            import_quads(bad)
+        assert err.value.line == lineno
+        assert "source" in str(err.value)
+
+    def test_identical_metadata_repeat_accepted(self):
+        doc, ctx = self.doc_and_ctx()
+        again, _ = _with_line(doc, f'<{ctx}> <{VOCAB}source> "facB" .')
+        assert export_quads(import_quads(again)) == doc
+
+    @pytest.mark.parametrize("line,message", [
+        (f'{CTX} <{VOCAB}validFrom> "19x6" .',
+         "point: cannot parse '19x6', expected YYYY[-MM[-DD]]"),
+        (f"<x> <http://a.org/y> <http://a.org/z> {CTX} .",
+         "not an absolute http(s) IRI: 'x'"),
+        (f'{X} "z"@ {CTX} .', "bad language tag ''"),
+        (f'{X} "z"^^<http://www.w3.org/2001/XMLSchema#gYear> {CTX} .',
+         "not a 4-digit year literal: 'z'"),
+    ])
+    def test_value_errors_name_the_line(self, line, message):
+        doc, lineno = _with_line(f'{CTX} <{VOCAB}source> "s" .\n', line)
+        with pytest.raises(QuadParseError) as err:
+            import_quads(doc)
+        assert err.value.line == lineno
+        assert str(err.value) == f"line {lineno}: {message}"
+
+    def test_insert_errors_name_the_data_line(self):
+        doc, ctx = self.doc_and_ctx()
+        body = f"<{BASE}/body/facB>"
+        bad, lineno = _with_line(doc, f'{body} <{VOCAB}kind> "person" <{ctx}> .')
+        with pytest.raises(QuadParseError) as err:
+            import_quads(bad)
+        assert err.value.line == lineno
+
+    def test_inverted_bounds_name_the_data_line(self):
+        doc, lineno = _with_line(
+            f'{CTX} <{VOCAB}validFrom> "2000" .\n'
+            f'{CTX} <{VOCAB}validTo> "1990" .\n'
+            f'{CTX} <{VOCAB}source> "s" .\n'
+            f"{CTX} <{VOCAB}authority> <http://a.org/auth> .\n",
+            f"<{BASE}/body/facB> <{VOCAB}label> \"B\" {CTX} .",
+        )
+        with pytest.raises(QuadParseError) as err:
+            import_quads(doc)
+        assert err.value.line == lineno
+
+    def test_dangling_context_keeps_its_message(self):
+        doc, lineno = _with_line("", f"{X} <http://a.org/z> {CTX} .")
+        with pytest.raises(DanglingContext) as err:
+            import_quads(doc)
+        assert str(err.value) == f"line {lineno}: context {CTX} has no complete metadata"
+
+
 _years = st.integers(1, 9999)
 _points = st.one_of(
     st.builds(TimePoint, _years),
