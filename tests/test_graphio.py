@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from etdgraph.errors import DanglingContext, NotFound, QuadParseError
 from etdgraph.graphio import (
+    _current_label_triple,
     describe_entity,
     escape_literal,
     export_dot,
@@ -25,7 +26,7 @@ from etdgraph.model import (
     TimePoint,
     Validity,
 )
-from etdgraph.store import Store
+from etdgraph.store import Pattern, Store
 from etdgraph.vocab import EntityKind
 
 from oracles import AUTHORITY, rand_store
@@ -415,6 +416,45 @@ class TestDescribe:
                 covered.update(serialize_description(network, doc).splitlines())
         assert data_lines <= covered
 
+
+
+def _label_rank(t):
+    """The documented rule: open-ended or unqualified beats closed, a later
+    start beats an earlier one, then the smaller text."""
+    iv = t.validity.interval
+    open_ended = iv is None or iv.end is None
+    start = iv.start.first_day().toordinal() if iv is not None and iv.start else 0
+    return (-int(open_ended), -start, t.object.lexical)
+
+
+# few years, two precisions: same-start ties between open and closed rows
+_label_points = st.builds(
+    TimePoint, st.integers(1990, 1992), st.one_of(st.none(), st.just(1))
+)
+_label_validities = st.one_of(
+    st.just(Validity()),
+    st.tuples(st.one_of(st.none(), _label_points), st.one_of(st.none(), _label_points)).map(_validity),
+)
+_label_rows = st.tuples(
+    st.builds(Literal, st.text("ab", max_size=2), st.just(Datatype.STRING),
+              st.sampled_from([None, "en", "fr"])),
+    _label_validities,
+    st.builds(ProvenanceTag, st.sampled_from(["r1", "r2", "r3"]),
+              st.sampled_from([AUTHORITY, Iri("http://other.example.org/auth")])),
+)
+
+
+class TestLabelPick:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_label_rows, min_size=1, max_size=8))
+    def test_pick_is_the_min_rank_of_the_sorted_group(self, rows):
+        store = Store(base_iri=BASE)
+        entity = Iri(f"{BASE}/person/p1")
+        label = store.vocab.expand("label")
+        for text, validity, provenance in rows:
+            store.insert(TemporalTriple(entity, label, text, validity, provenance))
+        expected = min(store.match(Pattern(subject=entity, property=label)), key=_label_rank)
+        assert _current_label_triple(store, entity) is expected
 
 class TestInvariants:
     def test_every_context_has_complete_metadata(self, network):
