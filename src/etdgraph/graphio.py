@@ -152,8 +152,7 @@ def export_quads(store: Store) -> str:
 
 
 def _lex_quad_line(line: str, lineno: int, iris: dict[str, Iri]) -> list:
-    """Terms of one line; `iris` maps IRI text already seen to its Iri, so
-    every occurrence of one text shares one object."""
+    """Terms of one line; `iris` maps IRI text already seen to its Iri."""
     terms = []
     pos = 0
     while True:
@@ -212,7 +211,7 @@ def import_quads(
     # validFrom/validTo -> TimePoint, source -> str, authority -> Iri
     contexts: dict[Iri, dict[str, TimePoint | str | Iri]] = {}
     meta_ns: str | None = None
-    iris: dict[str, Iri] = {}
+    iris: dict[str, Iri] = {}  # Iri() is interned, but a Python call; dict.get is not
 
     try:
         for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -291,24 +290,26 @@ def _context_scope(meta: dict | None, ctx: Iri,
 # -- DOT export ---------------------------------------------------------------
 
 
+def _label_rank(t: TemporalTriple):
+    iv = t.validity.interval
+    open_ended = iv is None or iv.end is None
+    start = iv.start.first_day().toordinal() if iv is not None and iv.start else 0
+    return (-int(open_ended), -start, t.object.lexical)
+
+
 def _current_label_triple(store: Store, entity: Iri) -> TemporalTriple | None:
     """Pick one label: open-ended or unqualified beats closed, later
-    starts beat earlier, then lexicographic text."""
-    labels = store.match(Pattern(subject=entity, property=store.vocab.expand("label")))
+    starts beat earlier, then lexicographic text, then canonical order."""
+    labels = store._match(entity, store.vocab.expand("label"), None, None, False)
     if not labels:
         return None
-
-    def rank(t):
-        iv = t.validity.interval
-        open_ended = iv is None or iv.end is None
-        start = iv.start.first_day().toordinal() if iv is not None and iv.start else 0
-        return (-int(open_ended), -start, t.object.lexical)
-
-    return min(labels, key=rank)
+    ranked = [(_label_rank(t), t) for t in labels]
+    best = min(rank for rank, _ in ranked)
+    # min keeps the first of equal keys: index order, as a stable sort would
+    return min((t for rank, t in ranked if rank == best), key=triple_sort_key)
 
 
-def _current_label(store: Store, entity: Iri) -> str:
-    triple = _current_label_triple(store, entity)
+def _label_text(entity: Iri, triple: TemporalTriple | None) -> str:
     return triple.object.lexical if triple is not None else entity.local_name()
 
 
@@ -383,7 +384,7 @@ def export_dot(store: Store, focus: Iri | None = None, radius: int = 1) -> str:
     for entity in sorted(nodes, key=lambda i: ids[i]):
         kind = store.kind_of(entity)
         shape = _NODE_SHAPE.get(kind, "ellipse")
-        label = _current_label(store, entity)
+        label = _label_text(entity, _current_label_triple(store, entity))
         lines.append(
             f"  {ids[entity]} [shape={shape}, label={_dot_quote(label)}];"
         )
@@ -408,6 +409,7 @@ class DescriptionDocument:
     focus: Iri
     triples: list[TemporalTriple]
     neighbor_labels: dict[Iri, str] = field(default_factory=dict)
+    label_triples: list[TemporalTriple] = field(default_factory=list)  # the picked label rows
 
 
 def describe_entity(store: Store, focus: Iri) -> DescriptionDocument:
@@ -431,8 +433,9 @@ def describe_entity(store: Store, focus: Iri) -> DescriptionDocument:
         if isinstance(t.object, Iri):
             neighbors.add(t.object)
     neighbors.discard(focus)
-    labels = {n: _current_label(store, n) for n in sorted(neighbors, key=lambda i: i.value)}
-    return DescriptionDocument(focus=focus, triples=triples, neighbor_labels=labels)
+    picked = {n: _current_label_triple(store, n) for n in sorted(neighbors, key=lambda i: i.value)}
+    labels = {n: _label_text(n, t) for n, t in picked.items()}
+    return DescriptionDocument(focus, triples, labels, [t for t in picked.values() if t is not None])
 
 
 def serialize_description(store: Store, doc: DescriptionDocument) -> str:
@@ -440,8 +443,5 @@ def serialize_description(store: Store, doc: DescriptionDocument) -> str:
     of the full export, so any consumer of the store format can read it.
     Derived statements are not written, their stored originals are."""
     selected = {t for t in doc.triples if not t.derived}
-    for neighbor in doc.neighbor_labels:
-        label = _current_label_triple(store, neighbor)
-        if label is not None:
-            selected.add(label)
+    selected.update(doc.label_triples)
     return _quad_text(store, sorted(selected, key=triple_sort_key))

@@ -2,9 +2,10 @@
 provenance tags, and the temporal statements built from them.
 
 All types here are immutable and hashable, so they can be shared freely
-between threads. The value types are slotted dataclasses, with no
-per-instance `__dict__`. `Iri` hashes and compares by its normalized
-text alone and is never equal to a `str` or a `Literal`.
+between threads. The value types are slotted, with no per-instance
+`__dict__`. There is one live `Iri` object per normalized text, so `Iri`
+equality and hashing are identity, and an `Iri` is never equal to a
+`str` or a `Literal`.
 
 Time comparisons work on closed day ranges: a point or interval of any
 precision (year, month, day) is first normalized to its first and last
@@ -16,7 +17,9 @@ from __future__ import annotations
 
 import calendar
 import re
-from dataclasses import dataclass, field
+import threading
+import weakref
+from dataclasses import FrozenInstanceError, dataclass, field
 from datetime import date, timedelta
 from enum import Enum
 from urllib.parse import quote
@@ -31,7 +34,9 @@ from .errors import (
 _IRI_SHAPE = re.compile(r"^https?://[^/?#]+")
 _LANG_TAG = re.compile(r"^[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})*$")
 _POINT_TEXT = re.compile(r"^(\d{4})(?:-(\d{2})(?:-(\d{2}))?)?$")
-_PLAIN_IRI_TEXT = re.compile(r"[\x21-\x24\x26-\x7e]*")  # printable ASCII except %
+_IRI_EXCLUDED = '<>"{}|\\^`'  # printable ASCII that RFC 3987 excludes from IRIs
+# printable ASCII except % and the excluded characters
+_PLAIN_IRI_TEXT = re.compile(f"[^\\x00-\\x20\\x7f-\\U0010ffff%{re.escape(_IRI_EXCLUDED)}]*")
 _HEX = set("0123456789abcdefABCDEF")
 
 
@@ -59,6 +64,8 @@ def _normalize_iri_chars(text: str) -> str:
             raise InvalidIri(f"malformed percent escape at offset {i} in {text!r}")
         if code <= 0x20 or code == 0x7F:
             raise InvalidIri(f"whitespace or control character at offset {i} in {text!r}")
+        if ch in _IRI_EXCLUDED:
+            raise InvalidIri(f"character {ch!r} not allowed in an IRI at offset {i} in {text!r}")
         if code > 0x7E:
             out.append(quote(ch, safe=""))
         else:
@@ -67,24 +74,55 @@ def _normalize_iri_chars(text: str) -> str:
     return "".join(out)
 
 
-@dataclass(frozen=True, slots=True)
-class Iri:
-    """An absolute http(s) IRI. Equality is text equality after
-    percent-encoding normalization (uppercase hex, non-ASCII encoded)."""
+# normalized text -> weak reference to its one live Iri
+_interned: dict[str, weakref.KeyedRef] = {}
+# Reentrant: a collection triggered inside the miss path may run `_forget`.
+_intern_lock = threading.RLock()
 
+
+def _forget(ref: weakref.KeyedRef) -> None:
+    with _intern_lock:  # unless a new Iri for the text has replaced it
+        if _interned.get(ref.key) is ref:
+            del _interned[ref.key]
+
+
+class Iri:
+    """An absolute http(s) IRI. `Iri(text)` returns the one live object
+    for the text after percent-encoding normalization (uppercase hex,
+    non-ASCII encoded), so equality is identity. The table holds IRIs
+    weakly: one that nothing else holds is dropped."""
+
+    __slots__ = ("value", "__weakref__")
     value: str
 
-    def __post_init__(self):
-        normalized = _normalize_iri_text(self.value)
+    def __new__(cls, value: str) -> "Iri":
+        ref = _interned.get(value)
+        iri = ref() if ref is not None else None
+        if iri is not None:
+            return iri
+        normalized = _normalize_iri_text(value)
         if not _IRI_SHAPE.match(normalized):
-            raise InvalidIri(f"not an absolute http(s) IRI: {self.value!r}")
-        object.__setattr__(self, "value", normalized)
+            raise InvalidIri(f"not an absolute http(s) IRI: {value!r}")
+        with _intern_lock:
+            ref = _interned.get(normalized)
+            iri = ref() if ref is not None else None
+            if iri is None:
+                iri = object.__new__(cls)
+                object.__setattr__(iri, "value", normalized)
+                _interned[normalized] = weakref.KeyedRef(iri, _forget, normalized)
+        return iri
 
-    def __hash__(self) -> int:
-        return hash(self.value)  # str caches its hash
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Iri) and self.value == other.value
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Iri, (self.value,)
+
+    def __repr__(self) -> str:
+        return f"Iri(value={self.value!r})"
 
     def __str__(self) -> str:
         return self.value
@@ -384,7 +422,8 @@ def object_sort_text(obj: Iri | Literal) -> str:
     if isinstance(obj, Iri):
         return "<" + obj.value + ">"
     tag = f"@{obj.language}" if obj.language else ""
-    return f'"{obj.lexical}"^^{obj.datatype.value}{tag}'
+    # `_value_` is the plain attribute behind the Enum.value property
+    return f'"{obj.lexical}"^^{obj.datatype._value_}{tag}'
 
 
 def _validity_key(v: Validity):

@@ -86,6 +86,15 @@ class TestIngest:
         assert code == 2
         assert not out.exists()
 
+    def test_same_as_with_an_excluded_character_exits_2(self, tmp_path, capsys):
+        source = tmp_path / "bad.etd"
+        source.write_text("id p\ntype person\nname P\nsame-as http://viaf.example.org/a>b\n")
+        out = tmp_path / "x.tnq"
+        code, _, stderr = run(capsys, ["ingest", str(source), "--out", str(out)])
+        assert code == 2
+        assert "not allowed in an IRI" in stderr
+        assert not out.exists()
+
     def test_missing_file_exits_3(self, tmp_path, capsys):
         code, _, stderr = run(capsys, [
             "ingest", str(tmp_path / "missing.etd"), "--out", str(tmp_path / "x.tnq"),

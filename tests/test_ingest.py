@@ -157,6 +157,13 @@ class TestGraph:
         messages = [e.message for e in err.value.report.errors]
         assert any("pZ" in m for m in messages)
 
+    def test_same_as_with_an_excluded_character_is_a_record_error(self):
+        text = SMALL_BATCH + "same-as http://viaf.example.org/a>b\n"
+        with pytest.raises(IngestError) as err:
+            records_to_graph(parse_records(text), base=BASE)
+        [issue] = err.value.report.errors
+        assert issue.record_id == "pB" and "'>' not allowed in an IRI" in issue.message
+
     def test_all_or_nothing(self):
         text = SMALL_BATCH + "\n" + WORK_RECORD.replace("advisor pB", "advisor pZ")
         with pytest.raises(IngestError) as err:

@@ -1,10 +1,16 @@
+import copy
 import dataclasses
+import gc
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etdgraph import model
 from etdgraph.errors import InvalidDate, InvalidInterval, InvalidIri, InvalidLiteral
 from etdgraph.model import (
     Datatype,
@@ -234,6 +240,11 @@ class TestIri:
         with pytest.raises(InvalidIri):
             Iri("http://x.org/a%zz")
 
+    @pytest.mark.parametrize("ch", list('<>"{}|\\^`'))
+    def test_rejects_characters_rfc_3987_excludes(self, ch):
+        with pytest.raises(InvalidIri, match="not allowed in an IRI at offset 14"):
+            Iri(f"http://x.org/a{ch}b")
+
     @settings(max_examples=500, deadline=None)
     @given(
         st.lists(
@@ -266,6 +277,73 @@ class TestIri:
         assert a == b
         assert hash(a) == hash(b)
         assert (a == c) == (b == c)
+
+
+_iri_paths = st.lists(
+    st.sampled_from(["a", "B", "/", "%2f", "%2F", "%c3%a9", "%C3%A9", "é", "€", "%e2%82%ac"]),
+    max_size=4,
+).map(lambda parts: "http://x.org/" + "".join(parts))
+
+
+class TestInterning:
+    @settings(max_examples=300, deadline=None)
+    @given(_iri_paths, _iri_paths)
+    def test_one_object_exactly_per_normalized_text(self, a, b):
+        x, y = Iri(a), Iri(b)
+        assert x.value == _normalize_iri_text(a) and y.value == _normalize_iri_text(b)
+        assert (x is y) == (x.value == y.value)
+
+    def test_equality_and_hash_are_identity(self):
+        assert Iri.__hash__ is object.__hash__
+        assert Iri.__eq__ is object.__eq__
+
+    def test_pickle_and_copy_return_the_same_object(self):
+        node = Iri("http://x.org/caf%C3%A9")
+        assert pickle.loads(pickle.dumps(node)) is node
+        assert copy.copy(node) is node and copy.deepcopy(node) is node
+        assert repr(node) == "Iri(value='http://x.org/caf%C3%A9')"
+
+    def test_immutable(self):
+        node = Iri("http://x.org/a")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            node.value = "http://x.org/b"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del node.value
+        assert node.value == "http://x.org/a"
+
+    def test_threads_building_one_fresh_text_share_one_object(self):
+        # non-ASCII texts take the slow normalization, widening any race
+        texts = [f"http://x.org/race/é{i}" for i in range(2000)]
+        start = threading.Barrier(4, timeout=10)
+        results = [None] * 4
+
+        def build(slot):
+            start.wait()
+            results[slot] = [Iri(t) for t in texts]
+
+        threads = [threading.Thread(target=build, args=(slot,)) for slot in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for objects in zip(*results):
+            assert all(o is objects[0] for o in objects)
+
+    def test_unreferenced_iris_leave_the_table(self):
+        gc.collect()
+        before = len(model._interned)
+        kept = Iri("http://x.org/kept/é")
+        for i in range(100):
+            Iri(f"http://x.org/gone/{i}")
+        gc.collect()
+        assert len(model._interned) <= before + 1
+        assert Iri("http://x.org/kept/%C3%A9") is kept
 
 
 class TestValueIdentity:

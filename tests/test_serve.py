@@ -1,11 +1,14 @@
+import gc
+import http.client
 import threading
 import urllib.error
 import urllib.request
+from http.server import HTTPServer
 
 import pytest
 
-from etdgraph import graphio
-from etdgraph.cli import make_server
+from etdgraph import graphio, model
+from etdgraph.cli import _make_handler, make_server
 from etdgraph.errors import PortInUse
 from etdgraph.graphio import describe_entity, serialize_description
 
@@ -115,3 +118,25 @@ def test_head_answers_like_get_without_a_body(server):
             assert response.status == 200
             assert response.headers["Content-Length"] == str(len(get_body))
             assert response.read() == b""
+
+
+def test_unknown_entity_lookups_leave_no_interned_iri(network):
+    # one server thread, one client: the handler is the one `serve` uses
+    httpd = HTTPServer(("127.0.0.1", 0), _make_handler(network))
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    try:
+        port = httpd.server_address[1]
+        gc.collect()
+        before = len(model._interned)
+        for n in range(1000):
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            conn.request("GET", f"/entity/person/ghost{n}")
+            assert conn.getresponse().status == 404
+            conn.close()
+        gc.collect()
+        assert len(model._interned) <= before
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=10)
