@@ -81,7 +81,8 @@ _intern_lock = threading.RLock()
 
 
 def _forget(ref: weakref.KeyedRef) -> None:
-    with _intern_lock:  # unless a new Iri for the text has replaced it
+    """Drop a dead IRI's entry, unless a new Iri for its text replaced it."""
+    with _intern_lock:
         if _interned.get(ref.key) is ref:
             del _interned[ref.key]
 
