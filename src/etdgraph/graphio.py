@@ -442,6 +442,6 @@ def serialize_description(store: Store, doc: DescriptionDocument) -> str:
     """Quad serialization of a description; a strict subset of the lines
     of the full export, so any consumer of the store format can read it.
     Derived statements are not written, their stored originals are."""
-    selected = {t for t in doc.triples if not t.derived}
-    selected.update(doc.label_triples)
+    # Both lists are distinct, and disjoint: label rows are the neighbors'.
+    selected = [t for t in doc.triples if not t.derived] + doc.label_triples
     return _quad_text(store, sorted(selected, key=triple_sort_key))

@@ -251,7 +251,7 @@ class _Builder:
         self.vocab = into.vocab if into is not None else DEFAULT_VOCAB
         self.report = IngestReport(records_parsed=len(records))
         self.triples: list[TemporalTriple] = []
-        self.local: dict[tuple[EntityKind, str], Iri] = {}
+        self.local: dict[tuple[EntityKind, str], Iri] = {}  # records, genders, places
         self.tags: dict[str, ProvenanceTag] = {}
 
     def error(self, record: Record, line: int, message: str):
@@ -289,12 +289,11 @@ class _Builder:
 
     # -- helpers ------------------------------------------------------------
 
-    def _provenance(self, record: Record) -> ProvenanceTag:
-        # one tag object for all of a record's statements
-        tag = self.tags.get(record.local_id)
+    def _provenance(self, source: str) -> ProvenanceTag:
+        # one tag object for all of a source's statements
+        tag = self.tags.get(source)
         if tag is None:
-            tag = self.tags[record.local_id] = ProvenanceTag(
-                record.local_id, self.authority, self.batch_date)
+            tag = self.tags[source] = ProvenanceTag(source, self.authority, self.batch_date)
         return tag
 
     def _resolve(self, kind: EntityKind, local_id: str, record: Record, line: int) -> Iri:
@@ -317,19 +316,26 @@ class _Builder:
                 property=self.vocab.expand(prop),
                 object=obj,
                 validity=validity,
-                provenance=self._provenance(record),
+                provenance=self._provenance(record.local_id),
             )
         )
 
     def _emit_kind(self, record: Record, entity: Iri, kind: EntityKind):
         self._emit(record, entity, "kind", self.vocab.class_iri(kind))
 
-    def _value_entity(self, record: Record, kind: EntityKind, local_id: str) -> Iri:
-        # Genders and places are minted from the referencing record; each
-        # mention re-asserts kind and label so exports stay order-independent.
-        iri = mint_iri(self.base, kind, local_id)
-        self._emit_kind(record, iri, kind)
-        self._emit(record, iri, "label", Literal(local_id))
+    def _value_entity(self, kind: EntityKind, local_id: str) -> Iri:
+        # Genders and places are authority entities: one kind and one label
+        # row per batch, under their own path, whichever record mentions
+        # them first; none when `into` already holds the entity as `kind`.
+        iri = self.local.get((kind, local_id))
+        if iri is None:
+            iri = self.local[(kind, local_id)] = mint_iri(self.base, kind, local_id)
+            if self.existing is None or self.existing.kind_of(iri) is not kind:
+                tag = self._provenance(f"{_KIND_SEGMENT[kind]}/{local_id}")
+                for prop, obj in (("kind", self.vocab.class_iri(kind)),
+                                  ("label", Literal(local_id))):
+                    self.triples.append(
+                        TemporalTriple(iri, self.vocab.expand(prop), obj, ALWAYS, tag))
         return iri
 
     def _validity(self, qualifier: str | None, record: Record, line: int,
@@ -366,7 +372,7 @@ class _Builder:
         self._names(record, person, "name")
         for f in record.values("gender"):
             value, qualifier = _split_qualifier(f.value)
-            gender = self._value_entity(record, EntityKind.GENDER, value)
+            gender = self._value_entity(EntityKind.GENDER, value)
             self._emit(record, person, "hasGender", gender,
                        self._validity(qualifier, record, f.line))
         for f in record.values("student-of"):
@@ -381,7 +387,7 @@ class _Builder:
                        self._validity(qualifier, record, f.line, "professor-at"))
         f = record.first("birth-place")
         if f is not None:
-            place = self._value_entity(record, EntityKind.PLACE, f.value)
+            place = self._value_entity(EntityKind.PLACE, f.value)
             self._emit(record, person, "birthPlace", place)
 
     def _emit_body(self, record: Record, body: Iri):

@@ -64,7 +64,7 @@ def _normalize_iri_chars(text: str) -> str:
             raise InvalidIri(f"malformed percent escape at offset {i} in {text!r}")
         if code <= 0x20 or code == 0x7F:
             raise InvalidIri(f"whitespace or control character at offset {i} in {text!r}")
-        if ch in _IRI_EXCLUDED:
+        if ch in _IRI_EXCLUDED or 0xD800 <= code <= 0xDFFF:  # or a lone surrogate
             raise InvalidIri(f"character {ch!r} not allowed in an IRI at offset {i} in {text!r}")
         if code > 0x7E:
             out.append(quote(ch, safe=""))

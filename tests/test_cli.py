@@ -259,6 +259,14 @@ class TestDescribeAndStats:
         ])
         assert code == 2
 
+    def test_describe_lone_surrogate_exits_2(self, store_path, capsys):
+        # an undecodable command-line byte reaches argv as a lone surrogate
+        code, _, stderr = run(capsys, [
+            "describe", "--store", str(store_path), "person/\udcff",
+        ])
+        assert code == 2
+        assert stderr.startswith("error: ")
+
     def test_stats_census(self, store_path, capsys):
         code, stdout, _ = run(capsys, ["stats", "--store", str(store_path)])
         assert code == 0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from etdgraph.errors import DanglingContext, InvalidIri, NotFound, QuadParseError
 from etdgraph.graphio import (
     _current_label_triple,
+    _quad_text,
     describe_entity,
     escape_literal,
     export_dot,
@@ -25,6 +26,7 @@ from etdgraph.model import (
     TimeInterval,
     TimePoint,
     Validity,
+    triple_sort_key,
 )
 from etdgraph.store import Pattern, Store
 from etdgraph.vocab import EntityKind
@@ -134,6 +136,24 @@ class TestImport:
             store = rand_store(rng)
             doc = export_quads(store)
             assert export_quads(import_quads(doc)) == doc
+
+    def test_per_mention_value_entity_rows_round_trip(self):
+        # Earlier versions asserted a gender's kind and label once per
+        # mentioning record; such files must still load and re-export as is.
+        store = Store(base_iri=BASE)
+        v = store.vocab
+        male = Iri(f"{BASE}/gender/male")
+        for i in range(5):
+            person, tag = Iri(f"{BASE}/person/p{i}"), ProvenanceTag(f"p{i}", AUTHORITY)
+            for s, p, o in ((person, "kind", v.class_iri(EntityKind.PERSON)),
+                            (person, "hasGender", male),
+                            (male, "kind", v.class_iri(EntityKind.GENDER)),
+                            (male, "label", Literal("male"))):
+                store.insert(TemporalTriple(s, v.expand(p), o, Validity(), tag))
+        text = export_quads(store)
+        again = import_quads(text)
+        assert len(again.match(Pattern(subject=male, property=v.expand("label")))) == 5
+        assert export_quads(again) == text
 
     def test_permutation_invariance(self):
         # same statements inserted in reverse order export identically
@@ -412,6 +432,19 @@ class TestDescribe:
             doc = describe_entity(network, iri(entity))
             for line in serialize_description(network, doc).splitlines():
                 assert line in export_lines
+
+    def test_serialization_matches_the_set_reference(self, network):
+        def reference(store, doc):  # the expression before the set was dropped
+            selected = {t for t in doc.triples if not t.derived}
+            selected.update(doc.label_triples)
+            return _quad_text(store, sorted(selected, key=triple_sort_key))
+
+        rng = random.Random(19)
+        for store in [network] + [rand_store(rng) for _ in range(4)]:
+            for kind in EntityKind:
+                for entity in store.entities_of_kind(kind):
+                    doc = describe_entity(store, entity)
+                    assert serialize_description(store, doc) == reference(store, doc)
 
     def test_descriptions_cover_every_statement(self, network):
         export_lines = set(export_quads(network).splitlines())

@@ -18,7 +18,7 @@ from etdgraph.errors import (
     UnknownKey,
 )
 from etdgraph.fixture import fixture_text
-from etdgraph.graphio import export_quads
+from etdgraph.graphio import describe_entity, export_quads, serialize_description
 from etdgraph.ingest import (
     mint_iri,
     parse_records,
@@ -236,6 +236,68 @@ class TestGraph:
             if baseline is None:
                 baseline = doc
             assert doc == baseline
+
+
+def _persons(*specs: tuple[str, str, str]) -> str:
+    """Person records `(local id, gender, birth place)`."""
+    return "\n".join(
+        f"id {pid}\ntype person\nname {pid}\ngender {gender}\nbirth-place {place}\n"
+        for pid, gender, place in specs
+    )
+
+
+class TestValueEntities:
+    """Genders and places get one kind row and one label row per batch,
+    sourced from their own path."""
+
+    AUTHORITY = "http://uni.example.edu/library"
+
+    def _rows(self, store, entity: Iri) -> dict:
+        rows = {}
+        for t in store.match(Pattern(subject=entity)):
+            rows.setdefault(t.property.local_name(), []).append(t)
+        return rows
+
+    def test_many_mentions_mint_one_kind_and_one_label_row(self):
+        text = _persons(("p1", "f", "pl1"), ("p2", "f", "pl1"), ("p3", "f@2001..", "pl1"),
+                        ("p4", "m", "pl2"))
+        date = TimePoint(2013, 1, 15)
+        store, _ = records_to_graph(parse_records(text), base=BASE,
+                                    authority=self.AUTHORITY, batch_date=date)
+        for path, local_id in (("gender/f", "f"), ("place/pl1", "pl1")):
+            entity = Iri(f"{BASE.value}/{path}")
+            rows = self._rows(store, entity)
+            assert sorted(rows) == ["kind", "label"]
+            [kind], [label] = rows["kind"], rows["label"]
+            assert label.object == Literal(local_id)
+            for t in (kind, label):
+                assert t.validity.is_always
+                assert t.provenance.source_record_id == path
+                assert t.provenance.asserting_authority.value == self.AUTHORITY
+                assert t.provenance.asserted_at == date
+        hits = store.match(Pattern(object=Iri(f"{BASE.value}/gender/f")))
+        assert len(hits) == 3  # the mentions stay, one per person
+
+    def test_into_mints_only_entities_the_store_lacks(self):
+        first, _ = records_to_graph(parse_records(_persons(("p1", "f", "pl1"))), base=BASE,
+                                    batch_date=TimePoint(2013))
+        store, report = records_to_graph(
+            parse_records(_persons(("p2", "f", "pl9"))), base=BASE,
+            batch_date=TimePoint(2014), into=first,
+        )
+        gender = Iri(f"{BASE.value}/gender/f")
+        assert self._rows(store, gender) == self._rows(first, gender)
+        place = self._rows(store, Iri(f"{BASE.value}/place/pl9"))
+        assert sorted(place) == ["kind", "label"]
+        assert [t.provenance.source_record_id for t in place["kind"] + place["label"]] == [
+            "place/pl9", "place/pl9"]
+        # p2: kind, label, hasGender, birthPlace; pl9: kind, label
+        assert report.triples_emitted == 6
+
+    def test_fixture_gender_page_has_one_label_line(self, network, iri):
+        page = serialize_description(network, describe_entity(network, iri("gender/female")))
+        label = f"<{iri('gender/female')}> <{network.vocab.expand('label')}> "
+        assert sum(line.startswith(label) for line in page.splitlines()) == 1
 
 
 class TestResolve:

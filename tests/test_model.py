@@ -240,7 +240,7 @@ class TestIri:
         with pytest.raises(InvalidIri):
             Iri("http://x.org/a%zz")
 
-    @pytest.mark.parametrize("ch", list('<>"{}|\\^`'))
+    @pytest.mark.parametrize("ch", list('<>"{}|\\^`') + ["\udcff"])  # and a lone surrogate
     def test_rejects_characters_rfc_3987_excludes(self, ch):
         with pytest.raises(InvalidIri, match="not allowed in an IRI at offset 14"):
             Iri(f"http://x.org/a{ch}b")
@@ -251,7 +251,7 @@ class TestIri:
             st.one_of(
                 st.characters(min_codepoint=0x21, max_codepoint=0x7E),
                 st.sampled_from(["%", " ", "\t", "\n", "\x00", "\x1f", "\x7f",
-                                 "\x80", "é", "€", "\U0001f600"]),
+                                 "\x80", "é", "€", "\U0001f600", "\udcff"]),
                 st.tuples(
                     st.sampled_from("0123456789abcdefABCDEFgz"),
                     st.sampled_from("0123456789abcdefABCDEFgz"),
