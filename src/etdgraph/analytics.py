@@ -35,7 +35,7 @@ from .reason import (
     PROFESSOR,
     STUDENT,
     MobilityEvent,
-    ancestors_at,
+    _lift,
     derive_mobility,
     members_at,
     subtree_at,
@@ -262,8 +262,10 @@ def interdisciplinary_works(
 
 
 def _grantors_diverge(store: Store, grantors: list[Iri], when: TimePoint) -> bool:
-    chains = {g: [g] + ancestors_at(store, g, when) for g in grantors}
-    tops = {g: chain[-1] for g, chain in chains.items()}
+    chains, tops = {}, {}
+    for g in grantors:
+        ancestors, tops[g] = _lift(store, g, when)
+        chains[g] = [g] + ancestors
     for i, a in enumerate(grantors):
         for b in grantors[i + 1:]:
             if tops[a] != tops[b]:

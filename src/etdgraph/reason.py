@@ -139,8 +139,13 @@ def _check_acyclic(parents: dict[Iri, list[Iri]]):
 def top_institution_at(store: Store, body: Iri, t: TimePoint) -> Iri:
     """The root of the hierarchy above body at t (body itself if none);
     the lowest IRI when several roots are reachable."""
+    return _lift(store, body, t)[1]
+
+
+def _lift(store: Store, body: Iri, t: TimePoint) -> tuple[list[Iri], Iri]:
+    """ancestors_at and top_institution_at from one walk."""
     chain, parents = _walk(store, body, t)
-    return min((n for n in [body] + chain if not parents[n]), key=lambda i: i.value)
+    return chain, min((n for n in [body] + chain if not parents[n]), key=lambda i: i.value)
 
 
 def successor_chain(store: Store, body: Iri) -> list[Iri]:

@@ -171,6 +171,22 @@ class TestInterdisciplinary:
         store, _ = records_to_graph(parse_records(text), base=BASE)
         assert interdisciplinary_works(store, years(1990, 2020)) == (0, [])
 
+    def test_shortcut_edge_keeps_the_lowest_iri_root_as_university(self):
+        # g1 sits under school y and directly under university x; g2 only
+        # under y: the pair meets at y, below the university
+        text = (
+            "id x\ntype body\nname X\nbody-kind university\n\n"
+            "id y\ntype body\nname Y\nbody-kind school\nsubdivision-of x@1950..\n\n"
+            "id g1\ntype body\nname G1\nbody-kind faculty\n"
+            "subdivision-of y@1960..\nsubdivision-of x@1960..\n\n"
+            "id g2\ntype body\nname G2\nbody-kind faculty\nsubdivision-of y@1960..\n\n"
+            "id p\ntype person\nname P\n\n"
+            "id w\ntype work\ntitle T\nwork-kind phd\ndissertant p\nstudy 1996..2000\n"
+            "grantor g1\ngrantor g2\n"
+        )
+        store, _ = records_to_graph(parse_records(text), base=BASE)
+        assert interdisciplinary_works(store, years(1990, 2020)) == (0, [])
+
     def test_different_universities_count(self):
         text = (
             "id u1\ntype body\nname U1\nbody-kind university\n\n"
