@@ -298,6 +298,287 @@ def oracle_reachable_parents(store: Store, body: Iri, t: TimePoint) -> set[Iri]:
     return reached
 
 
+# -- report oracles ------------------------------------------------------------
+#
+# Written from the README's "Analytics definitions" on day sets. Where the
+# README leaves a choice open, the oracle's docstring names the rule it
+# takes. Each works on plain store rows and `oracle_reachable_parents`.
+
+
+def _rows(store: Store, prop: str, subject=None, obj=None) -> list:
+    prop_iri = store.vocab.expand(prop)
+    return [t for t in store if t.property == prop_iri
+            and (subject is None or t.subject == subject)
+            and (obj is None or t.object == obj)]
+
+
+def _day_point(ordinal: int) -> TimePoint:
+    day = date.fromordinal(ordinal)
+    return TimePoint(day.year, day.month, day.day)
+
+
+def oracle_top(store: Store, body: Iri, t: TimePoint) -> Iri:
+    """The top-level institution: among the bodies reachable from body
+    through parent links valid at t (body included), those with no
+    valid parent at t; the lowest IRI of them."""
+    reached = {body} | oracle_reachable_parents(store, body, t)
+    roots = [n for n in reached if not oracle_reachable_parents(store, n, t)]
+    return min(roots, key=lambda i: i.value)
+
+
+def _oracle_studies(store: Store) -> dict[Iri, TimeInterval]:
+    """Work -> study period: the authorship interval ending on the latest
+    day."""
+    studies: dict[Iri, TimeInterval] = {}
+    for t in _rows(store, "createdBy"):
+        if t.validity.interval is None:
+            continue
+        prev = studies.get(t.subject)
+        if prev is None or max(interval_days(t.validity.interval)) > max(interval_days(prev)):
+            studies[t.subject] = t.validity.interval
+    return studies
+
+
+def _study_end(study: TimeInterval) -> TimePoint:
+    return study.end if study.end is not None else study.start
+
+
+def oracle_interdisciplinary(store: Store, window: TimeInterval) -> tuple[int, list[Iri]]:
+    """Works whose study period shares a day with the window and that have
+    two degree-granting bodies whose hierarchies at the study end belong
+    to different top-level institutions, or share no body but that
+    institution."""
+    hits = []
+    for work, study in _oracle_studies(store).items():
+        if not interval_days(study) & interval_days(window):
+            continue
+        end = _study_end(study)
+        grantors = sorted({t.object for t in _rows(store, "degreeGrantedBy", subject=work)},
+                          key=lambda i: i.value)
+        for i, a in enumerate(grantors):
+            if any(_meet_only_at_top(store, a, b, end) for b in grantors[i + 1:]):
+                hits.append(work)
+                break
+    hits.sort(key=lambda i: i.value)
+    return len(hits), hits
+
+
+def _meet_only_at_top(store: Store, a: Iri, b: Iri, t: TimePoint) -> bool:
+    top_a, top_b = oracle_top(store, a, t), oracle_top(store, b, t)
+    if top_a != top_b:
+        return True
+    common = ({a} | oracle_reachable_parents(store, a, t)) & (
+        {b} | oracle_reachable_parents(store, b, t))
+    return common <= {top_a}
+
+
+def oracle_cooperation(store: Store, window: TimeInterval) -> list[tuple[Iri, Iri, int]]:
+    """Pairs of top-level institutions (A, B), A != B, with the number of
+    works whose study period shares a day with the window, whose degree
+    is granted under A, and whose advisor or committee member holds a
+    professorship under B during the study period.
+
+    A grantor is lifted at the study end (the degree grant); a
+    professorship is lifted on the first day it shares with the study
+    period."""
+    pair_works: dict[tuple[Iri, Iri], set[Iri]] = {}
+    for work, study in _oracle_studies(store).items():
+        study_days = interval_days(study)
+        if not study_days & interval_days(window):
+            continue
+        end = _study_end(study)
+        granting = {oracle_top(store, t.object, end)
+                    for t in _rows(store, "degreeGrantedBy", subject=work)}
+        contributors = {t.object for prop in ("advisedBy", "committeeMember")
+                        for t in _rows(store, prop, subject=work)}
+        for person in contributors:
+            for t in _rows(store, "isProfessorAt", subject=person):
+                shared = study_days & interval_days(t.validity.interval)
+                if not shared:
+                    continue
+                home = oracle_top(store, t.object, _day_point(min(shared)))
+                for a in granting - {home}:
+                    pair = tuple(sorted((a, home), key=lambda i: i.value))
+                    pair_works.setdefault(pair, set()).add(work)
+    rows = [(a, b, len(works)) for (a, b), works in pair_works.items()]
+    rows.sort(key=lambda r: (-r[2], r[0].value, r[1].value))
+    return rows
+
+
+_ROLES = (("student", "isStudentOf"), ("professor", "isProfessorAt"))
+
+
+def oracle_mobility(store: Store, window: TimeInterval) -> list[tuple]:
+    """Every person's moves with an arrival inside the window, by person
+    IRI, then by departure day and arrival day. A move is
+    (person, from, to, from role, to role, departure day, arrival, gap
+    in years).
+
+    Affiliations are lifted at their start (their end when open at the
+    start) and ordered by first day, last day, body IRI, student before
+    professor; consecutive ones at one institution form a run. A run
+    departs at the end of its affiliation with the latest last day
+    (then latest first day, then earliest in that order). A student run
+    departs instead at the latest study end among the person's works
+    whose study period shares a day with one of the run's affiliations,
+    when that end is later or the affiliation is open-ended. A boundary
+    with an open departure or arrival, or whose arrival starts on or
+    before the departure's last day, is no move. The departure is given
+    as its last day: the README fixes the day, not the precision of the
+    point naming it.
+    """
+    kind = store.vocab.expand("kind")
+    person_class = store.vocab.class_iri(EntityKind.PERSON)
+    persons = sorted({t.subject for t in store if t.property == kind and t.object == person_class},
+                     key=lambda i: i.value)
+    window_days = interval_days(window)
+    out = []
+    for person in persons:
+        moves = [m for m in _oracle_moves(store, person)
+                 if point_days(m[6]) <= window_days]
+        out.extend(sorted(moves, key=lambda m: (m[5], min(point_days(m[6])))))
+    return out
+
+
+def _oracle_moves(store: Store, person: Iri) -> list[tuple]:
+    affiliations = []
+    for role_index, (role, prop) in enumerate(_ROLES):
+        for t in _rows(store, prop, subject=person):
+            iv = t.validity.interval
+            days = interval_days(iv)
+            lift_at = iv.start if iv.start is not None else iv.end
+            affiliations.append((min(days), max(days), t.object.value, role_index,
+                                 role, iv, oracle_top(store, t.object, lift_at)))
+    affiliations.sort(key=lambda a: a[:4])
+    runs: list[list[tuple]] = []
+    for aff in affiliations:
+        if runs and runs[-1][0][6] == aff[6]:
+            runs[-1].append(aff)
+        else:
+            runs.append([aff])
+
+    moves = []
+    for earlier, later in zip(runs, runs[1:]):
+        latest = max(a[1] for a in earlier)
+        last = next(a for a in earlier
+                    if a[1] == latest and a[0] == max(b[0] for b in earlier if b[1] == latest))
+        from_role, departure_iv = last[4], last[5]
+        departure = None if departure_iv.end is None else max(point_days(departure_iv.end))
+        if from_role == "student":
+            run_days = set().union(*(interval_days(a[5]) for a in earlier))
+            degree_ends = [max(point_days(t.validity.interval.end))
+                           for t in _rows(store, "createdBy", obj=person)
+                           if t.validity.interval is not None
+                           and t.validity.interval.end is not None
+                           and interval_days(t.validity.interval) & run_days]
+            if degree_ends and (departure is None or max(degree_ends) > departure):
+                departure = max(degree_ends)
+        arrival = later[0][5].start
+        if departure is None or arrival is None:
+            continue
+        if min(point_days(arrival)) <= departure:
+            continue
+        moves.append((person, earlier[0][6], later[0][6], from_role, later[0][4],
+                      departure, arrival, arrival.year - date.fromordinal(departure).year))
+    return moves
+
+
+def rand_network_store(rng: random.Random, n_universities=2, n_people=8, n_works=8,
+                       base="http://example.org/etd") -> Store:
+    """Universities with schools and faculties whose subdivision edges
+    change over time, and persons and works in the same decades.
+
+    Each faculty leaves its first school at a random point and joins a
+    school of any university the day, month or year after; schools join
+    their university late or leave it. One faculty also sits directly
+    under its university while it sits under a school of it (a shortcut
+    edge), and the first work is granted by that faculty and that
+    school. Body IRIs are shuffled, so a university is not always the
+    lowest IRI of its hierarchy. Every edge points from a higher level
+    to a lower one, so no hierarchy has a cycle.
+    """
+    store = Store(base_iri=base)
+    vocab = store.vocab
+
+    def put(subject, prop, obj, validity=Validity(), record="r0"):
+        store.insert(TemporalTriple(subject, vocab.expand(prop), obj, validity,
+                                    ProvenanceTag(record, AUTHORITY)))
+
+    names = [f"{base}/body/b{i:02d}" for i in range(n_universities * 6)]
+    rng.shuffle(names)
+    bodies = [Iri(n) for n in names]
+    universities = bodies[:n_universities]
+    schools = bodies[n_universities:3 * n_universities]
+    faculties = bodies[3 * n_universities:]
+    for b in bodies:
+        put(b, "kind", vocab.class_iri(EntityKind.CORPORATE_BODY), record=b.local_name())
+
+    def school_of(u_index):
+        return schools[2 * u_index + rng.randrange(2)]
+
+    for i, s in enumerate(schools):
+        start = rand_point(rng, 1960, 1990) if rng.random() < 0.5 else None
+        end = rand_point(rng, 1995, 2015) if start is None or rng.random() < 0.3 else None
+        put(universities[i // 2], "hasSubdivision", s,
+            Validity.during(TimeInterval(start, end)), record=s.local_name())
+    for i, f in enumerate(faculties):
+        home = i % n_universities
+        first_school = school_of(home)
+        first = TimeInterval(rand_point(rng, 1960, 1975), rand_point(rng, 1980, 2005))
+        after = _point_after(first.end, rng)
+        put(first_school, "hasSubdivision", f, Validity.during(first), record=f.local_name())
+        if after is not None:
+            put(school_of(rng.randrange(n_universities)), "hasSubdivision", f,
+                Validity.during(TimeInterval(after, None)), record=f.local_name())
+        if i == 0:
+            shortcut = (f, first_school, first)
+            put(universities[home], "hasSubdivision", f, Validity.during(first),
+                record=f.local_name())
+
+    people = [Iri(f"{base}/person/p{i}") for i in range(n_people)]
+    for i, p in enumerate(people):
+        put(p, "kind", vocab.class_iri(EntityKind.PERSON), record=f"p{i}")
+        for _ in range(rng.randint(1, 4)):
+            role = rng.choice(["isStudentOf", "isProfessorAt"])
+            body = rng.choice(faculties + schools) if rng.random() < 0.9 else rng.choice(universities)
+            put(p, role, body, Validity.during(rand_interval(rng, 1975, 2012, open_p=0.2)),
+                record=f"p{i}")
+    for i in range(n_works):
+        w = Iri(f"{base}/work/w{i}")
+        put(w, "kind", vocab.class_iri(EntityKind.WORK), record=f"w{i}")
+        if i == 0:
+            # granted by the shortcut faculty and its school while both
+            # edges hold: the two meet below the university
+            faculty, school, edge = shortcut
+            grantors = [faculty, school]
+            study = TimeInterval(TimePoint(edge.start.year + 1), TimePoint(edge.end.year - 1))
+        else:
+            grantors = [rng.choice(faculties + schools) for _ in range(rng.randint(1, 2))]
+            study = rand_interval(rng, 1975, 2012, open_p=0.0)
+        put(w, "createdBy", rng.choice(people), Validity.during(study), f"w{i}")
+        for _ in range(rng.randint(1, 2)):
+            put(w, "advisedBy", rng.choice(people), record=f"w{i}")
+        if rng.random() < 0.6:
+            put(w, "committeeMember", rng.choice(people), record=f"w{i}")
+        for grantor in grantors:
+            put(w, "degreeGrantedBy", grantor, record=f"w{i}")
+    return store
+
+
+def _point_after(t: TimePoint, rng: random.Random) -> TimePoint | None:
+    """A point starting the day after t ends, at a random precision that
+    can name that day; None (a gap) one time in five."""
+    if rng.random() < 0.2:
+        return None
+    nxt = date.fromordinal(max(point_days(t)) + 1)
+    choices = [TimePoint(nxt.year, nxt.month, nxt.day)]
+    if nxt.day == 1:
+        choices.append(TimePoint(nxt.year, nxt.month))
+        if nxt.month == 1:
+            choices.append(TimePoint(nxt.year))
+    return rng.choice(choices)
+
+
 # -- brute-force conjunctive join ----------------------------------------------
 
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etdgraph.analytics import (
     gender_of,
@@ -9,6 +11,7 @@ from etdgraph.analytics import (
     institution_cooperation,
     interdisciplinary_works,
     mobility_by_gender,
+    mobility_events,
     supervision_gender_matrix,
     supervisor_gender_rate,
 )
@@ -18,7 +21,13 @@ from etdgraph.ingest import parse_records, records_to_graph
 from etdgraph.model import Iri, TimeInterval, TimePoint
 from etdgraph.reason import members_at
 
-from oracles import rand_store
+from oracles import (
+    oracle_cooperation,
+    oracle_interdisciplinary,
+    oracle_mobility,
+    rand_network_store,
+    rand_store,
+)
 
 BASE = Iri("http://example.org/etd")
 
@@ -255,6 +264,40 @@ class TestCooperation:
         )
         store, _ = records_to_graph(parse_records(text), base=BASE)
         assert institution_cooperation(store, years(1990, 2020)) == []
+
+
+def _network_and_window(rng):
+    store = rand_network_store(rng)
+    first, last = sorted((rng.randint(1970, 2015), rng.randint(1970, 2015)))
+    return store, years(first, last)
+
+
+class TestReportOracles:
+    """Each report against its oracle on random networks whose
+    hierarchies change over time and hold a shortcut edge."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_cooperation_matches_oracle(self, rng):
+        store, window = _network_and_window(rng)
+        assert institution_cooperation(store, window) == oracle_cooperation(store, window)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_interdisciplinary_matches_oracle(self, rng):
+        store, window = _network_and_window(rng)
+        assert interdisciplinary_works(store, window) == oracle_interdisciplinary(store, window)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_mobility_matches_oracle(self, rng):
+        store, window = _network_and_window(rng)
+        events = [
+            (e.person, e.from_institution, e.to_institution, e.from_role, e.to_role,
+             e.departure.last_day().toordinal(), e.arrival, e.gap_years)
+            for e in mobility_events(store, window)
+        ]
+        assert events == oracle_mobility(store, window)
 
 
 class TestPurity:
