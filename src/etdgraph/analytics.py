@@ -35,11 +35,10 @@ from .reason import (
     PROFESSOR,
     STUDENT,
     MobilityEvent,
-    _lift,
+    _Lifts,
     derive_mobility,
     members_at,
     subtree_at,
-    top_institution_at,
 )
 from .store import At, Overlaps, Pattern, Store
 from .vocab import EntityKind
@@ -244,27 +243,28 @@ def interdisciplinary_works(
     """Works granted by bodies that only meet at the university, or by
     different universities altogether."""
     granted_by = store.vocab.expand("degreeGrantedBy")
+    lifts = _Lifts(store)
     hits = []
     for work, study in _work_studies(store).items():
         if not intervals_overlap(study, interval):
             continue
         when = _study_end(study)
         grantors = sorted(
-            {t.object for t in store.match(Pattern(subject=work, property=granted_by))},
+            {t.object for t in store._match(work, granted_by, None, None, False)},
             key=lambda i: i.value,
         )
         if len(grantors) < 2:
             continue
-        if _grantors_diverge(store, grantors, when):
+        if _grantors_diverge(lifts, grantors, when):
             hits.append(work)
     hits.sort(key=lambda i: i.value)
     return len(hits), hits
 
 
-def _grantors_diverge(store: Store, grantors: list[Iri], when: TimePoint) -> bool:
+def _grantors_diverge(lifts: _Lifts, grantors: list[Iri], when: TimePoint) -> bool:
     chains, tops = {}, {}
     for g in grantors:
-        ancestors, tops[g] = _lift(store, g, when)
+        ancestors, tops[g] = lifts.at(g, when)
         chains[g] = [g] + ancestors
     for i, a in enumerate(grantors):
         for b in grantors[i + 1:]:
@@ -279,10 +279,11 @@ def _grantors_diverge(store: Store, grantors: list[Iri], when: TimePoint) -> boo
 def mobility_events(store: Store, interval: TimeInterval) -> list[MobilityEvent]:
     """Every person's mobility events with an arrival inside the
     interval, by person IRI, then in each person's departure order."""
+    lifts = _Lifts(store)
     return [
         event
         for person in store.entities_of_kind(EntityKind.PERSON)
-        for event in derive_mobility(store, person)
+        for event in derive_mobility(store, person, lifts)
         if interval_contains(interval, event.arrival)
     ]
 
@@ -319,31 +320,30 @@ def institution_cooperation(
     granted_by = store.vocab.expand("degreeGrantedBy")
     contribution_props = [store.vocab.expand("advisedBy"), store.vocab.expand("committeeMember")]
 
+    lifts = _Lifts(store)
     pair_works: dict[tuple[Iri, Iri], set[Iri]] = {}
     for work, study in _work_studies(store).items():
         if not intervals_overlap(study, interval):
             continue
         when = _study_end(study)
         grantor_institutions = {
-            top_institution_at(store, t.object, when)
-            for t in store.match(Pattern(subject=work, property=granted_by))
+            lifts.at(t.object, when)[1]
+            for t in store._match(work, granted_by, None, None, False)
         }
         contributors = set()
         for prop in contribution_props:
             contributors.update(
-                t.object for t in store.match(Pattern(subject=work, property=prop))
+                t.object for t in store._match(work, prop, None, None, False)
             )
         for person in contributors:
-            for t in store.match(
-                Pattern(subject=person, property=professor_at, time=Overlaps(study))
-            ):
+            for t in store._match(person, professor_at, None, Overlaps(study), False):
                 overlap_start = max(
                     study.first_day(), t.validity.interval.first_day()
                 )
                 lift_at = TimePoint(
                     overlap_start.year, overlap_start.month, overlap_start.day
                 )
-                home = top_institution_at(store, t.object, lift_at)
+                home = lifts.at(t.object, lift_at)[1]
                 for granting in grantor_institutions:
                     if granting == home:
                         continue

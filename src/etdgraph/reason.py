@@ -1,12 +1,19 @@
 """Inference over the graph: time-scoped hierarchy closure, succession
 chains, membership queries, derived mobility events, and institutional
 timelines. Everything here is a pure read; the store is never mutated.
+
+A report that lifts many bodies shares hierarchy walks within its one
+call: one walk per body and per segment of the day axis in which no
+subdivision edge above the body starts or ends (`_Lifts`). Nothing is
+kept from one call to the next.
 """
 
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass
+from datetime import date, timedelta
 from enum import Enum
 
 from .errors import (
@@ -16,7 +23,7 @@ from .errors import (
     NotAPerson,
     SequenceCycle,
 )
-from .model import Iri, TemporalTriple, TimePoint
+from .model import Iri, TemporalTriple, TimePoint, triple_sort_key
 from .store import At, Pattern, Store
 from .vocab import EntityKind
 
@@ -148,6 +155,54 @@ def _lift(store: Store, body: Iri, t: TimePoint) -> tuple[list[Iri], Iri]:
     return chain, min((n for n in [body] + chain if not parents[n]), key=lambda i: i.value)
 
 
+class _Lifts:
+    """`_lift` for one report call, walking once per body and segment.
+
+    A walk at t reads only the `hasSubdivision` edges above the body that
+    hold over t's whole day range. Cut the day axis at the first day and
+    at the day after the last day of every edge above the body, over all
+    time: each such edge then holds on all days of a segment or on none,
+    so one walk answers every point inside the segment. A point whose
+    day range crosses a cut walks on its own. Nothing outlives the call,
+    so a store changed between calls is never answered from old walks.
+    """
+
+    def __init__(self, store: Store):
+        self.store = store
+        self._cuts: dict[Iri, list[date]] = {}
+        self._lifted: dict[tuple[Iri, int], tuple[list[Iri], Iri]] = {}
+
+    def at(self, body: Iri, t: TimePoint) -> tuple[list[Iri], Iri]:
+        cuts = self._cuts.get(body)
+        if cuts is None:
+            cuts = self._cuts[body] = self._cut_days(body)
+        segment = bisect_right(cuts, t.first_day())
+        if segment < len(cuts) and cuts[segment] <= t.last_day():
+            return _lift(self.store, body, t)
+        lifted = self._lifted.get((body, segment))
+        if lifted is None:
+            lifted = self._lifted[body, segment] = _lift(self.store, body, t)
+        return lifted
+
+    def _cut_days(self, body: Iri) -> list[date]:
+        has_subdivision = self.store.vocab.expand("hasSubdivision")
+        cuts = set()
+        seen = {body}
+        frontier = [body]
+        while frontier:
+            node = frontier.pop()
+            for edge in self.store._match(None, has_subdivision, node, None, False):
+                iv = edge.validity.interval
+                if iv is not None and iv.start is not None:
+                    cuts.add(iv.start.first_day())
+                if iv is not None and iv.end is not None and iv.last_day() < date.max:
+                    cuts.add(iv.last_day() + timedelta(days=1))
+                if edge.subject not in seen:
+                    seen.add(edge.subject)
+                    frontier.append(edge.subject)
+        return sorted(cuts)
+
+
 def successor_chain(store: Store, body: Iri) -> list[Iri]:
     """Follow changed-to links forward from body; branching is an error."""
     _require_body(store, body)
@@ -244,17 +299,25 @@ class _Affiliation:
     triple: TemporalTriple
 
 
-def _affiliations(store: Store, person: Iri) -> list[_Affiliation]:
+_ROLES = ((STUDENT, "isStudentOf"), (PROFESSOR, "isProfessorAt"))
+_ROLE_RANK = {role: i for i, (role, _) in enumerate(_ROLES)}
+
+
+def _affiliation_order(a: _Affiliation):
+    iv = a.triple.validity.interval
+    return (iv.first_day(), iv.last_day(), a.body.value, _ROLE_RANK[a.role],
+            triple_sort_key(a.triple))
+
+
+def _affiliations(store: Store, person: Iri, lifts: _Lifts) -> list[_Affiliation]:
     out = []
-    for role, prop in ((STUDENT, "isStudentOf"), (PROFESSOR, "isProfessorAt")):
-        for t in store.match(Pattern(subject=person, property=store.vocab.expand(prop))):
+    for role, prop in _ROLES:
+        for t in store._match(person, store.vocab.expand(prop), None, None, False):
             iv = t.validity.interval
             lift_at = iv.start if iv.start is not None else iv.end
-            institution = top_institution_at(store, t.object, lift_at)
-            out.append(_Affiliation(role, t.object, institution, t))
-    out.sort(key=lambda a: (a.triple.validity.interval.first_day(),
-                            a.triple.validity.interval.last_day(),
-                            a.body.value))
+            out.append(_Affiliation(role, t.object, lifts.at(t.object, lift_at)[1], t))
+    if len(out) > 1:
+        out.sort(key=_affiliation_order)
     return out
 
 
@@ -293,7 +356,9 @@ def _degree_end(store: Store, person: Iri, run: _Run) -> TimePoint | None:
     return best
 
 
-def derive_mobility(store: Store, person: Iri) -> list[MobilityEvent]:
+def derive_mobility(
+    store: Store, person: Iri, lifts: _Lifts | None = None
+) -> list[MobilityEvent]:
     """Movements between top-level institutions.
 
     Affiliations are lifted to their institution at their start, ordered
@@ -302,13 +367,14 @@ def derive_mobility(store: Store, person: Iri) -> list[MobilityEvent]:
     is the earlier run's end, except that a student run departs at the
     degree grant (the study-period end) when that is later or when the
     affiliation is open-ended. Runs that overlap in time produce no
-    event and are logged.
+    event and are logged. A caller deriving many persons passes one
+    `lifts` so that their affiliations share hierarchy walks.
     """
     if store.kind_of(person) is not EntityKind.PERSON:
         raise NotAPerson(f"<{person}> is not a person")
 
     runs: list[_Run] = []
-    for aff in _affiliations(store, person):
+    for aff in _affiliations(store, person, lifts or _Lifts(store)):
         if runs and runs[-1].institution == aff.institution:
             runs[-1].affiliations.append(aff)
         else:

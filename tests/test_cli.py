@@ -140,9 +140,9 @@ class TestReport:
         people = []
         real = reason.derive_mobility
 
-        def counting(store, person):
+        def counting(store, person, *rest):
             people.append(person)
-            return real(store, person)
+            return real(store, person, *rest)
 
         # analytics holds its own reference to derive_mobility
         monkeypatch.setattr(reason, "derive_mobility", counting)

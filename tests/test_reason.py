@@ -1,10 +1,12 @@
 import random
+from datetime import date, timedelta
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etdgraph import reason
+from etdgraph.analytics import mobility_events
 from etdgraph.errors import (
     AmbiguousSuccession,
     HierarchyCycle,
@@ -38,9 +40,13 @@ from oracles import (
 BASE = Iri("http://example.org/etd")
 
 
+def _bound(point):
+    return TimePoint(point) if isinstance(point, int) else point
+
+
 def body_store(*bodies, edges=(), changes=()):
-    """bodies: local ids; edges: (parent, child, start, end); changes:
-    (old, new, year)."""
+    """bodies: local ids; edges: (parent, child, start, end), each bound a
+    year, a TimePoint or None; changes: (old, new, year)."""
     store = Store(base_iri=BASE)
     v = store.vocab
     iris = {b: Iri(f"{BASE}/body/{b}") for b in bodies}
@@ -51,9 +57,7 @@ def body_store(*bodies, edges=(), changes=()):
     for parent, child, start, end in edges:
         store.insert(TemporalTriple(
             iris[parent], v.expand("hasSubdivision"), iris[child],
-            Validity.during(TimeInterval(
-                TimePoint(start) if start else None,
-                TimePoint(end) if end else None)),
+            Validity.during(TimeInterval(_bound(start), _bound(end))),
             ProvenanceTag(child, AUTHORITY)))
     for old, new, year in changes:
         store.insert(TemporalTriple(
@@ -168,6 +172,111 @@ class TestAncestors:
         derive_mobility(network, iri("person/pA"))
         structure_timeline(network, iri("body/ux"))
         assert export_quads(network) == before
+
+
+_YEARS = st.integers(1988, 1992)
+_POINTS = st.one_of(
+    _YEARS.map(TimePoint),
+    st.tuples(_YEARS, st.integers(1, 12)).map(lambda ym: TimePoint(*ym)),
+    st.tuples(_YEARS, st.integers(1, 12), st.integers(1, 28)).map(lambda ymd: TimePoint(*ymd)),
+)
+_BOUND = st.one_of(st.none(), _POINTS, _POINTS, _POINTS)
+# edge bounds of any precision, either side open, in order
+_EDGE_BOUNDS = st.tuples(_BOUND, _BOUND).filter(lambda b: b != (None, None)).map(
+    lambda b: b if None in b or b[0].first_day() <= b[1].first_day() else b[::-1])
+
+
+def _probes_around(day):
+    """Points of every precision on both sides of the cut at `day`: the
+    day before and the day itself, and the month and year of each (a
+    month or year holding both crosses the cut)."""
+    before = day - timedelta(days=1)
+    out = []
+    for d in (before, day):
+        out += [TimePoint(d.year), TimePoint(d.year, d.month), TimePoint(d.year, d.month, d.day)]
+    return out
+
+
+def _lift_or_cycle(lift, body, t):
+    try:
+        ancestors, top = lift(body, t)
+        return list(ancestors), top
+    except HierarchyCycle as err:
+        return err.cycle
+
+
+class TestLiftsPerCall:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 5).flatmap(lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _EDGE_BOUNDS),
+                     min_size=n, max_size=3 * n),
+        )),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_one_walk_per_point(self, graph, rng):
+        n, edges = graph
+        names = [f"b{i}" for i in range(n)]
+        store, iris = body_store(*names, edges=[
+            (names[p], names[c], start, end) for p, c, (start, end) in edges
+        ])
+        cuts = {date(1988, 1, 1), date(1993, 1, 1)}
+        for _, _, (start, end) in edges:
+            if start is not None:
+                cuts.add(start.first_day())
+            if end is not None:
+                cuts.add(end.last_day() + timedelta(days=1))
+        probes = [(body, t) for body in iris.values() for day in cuts for t in _probes_around(day)]
+        rng.shuffle(probes)
+        lifts = reason._Lifts(store)
+        for body, t in probes + probes[::-1]:
+            assert _lift_or_cycle(lifts.at, body, t) == _lift_or_cycle(
+                lambda b, p: (ancestors_at(store, b, p), top_institution_at(store, b, p)), body, t)
+
+    def test_cycle_is_raised_only_inside_its_segment(self):
+        store, iris = body_store("a", "b", edges=[
+            ("a", "b", 1990, 2000),
+            ("b", "a", TimePoint(1995, 3), TimePoint(1995, 6, 15)),
+        ])
+        lifts = reason._Lifts(store)
+        for t in (TimePoint(1995, 4), TimePoint(1995, 6, 15), TimePoint(1995, 3, 1)):
+            with pytest.raises(HierarchyCycle) as err:
+                lifts.at(iris["b"], t)
+            with pytest.raises(HierarchyCycle) as expected:
+                ancestors_at(store, iris["b"], t)
+            assert err.value.cycle == expected.value.cycle
+        for t in (TimePoint(1995), TimePoint(1995, 6), TimePoint(1995, 6, 16),
+                  TimePoint(1995, 2, 28), TimePoint(1994), TimePoint(1996)):
+            assert lifts.at(iris["b"], t) == ([iris["a"]], iris["a"])
+
+    def test_not_a_body(self, network, iri):
+        with pytest.raises(NotABody):
+            reason._Lifts(network).at(iri("person/pA"), TimePoint(1998))
+
+    def test_walks_once_per_body_and_segment(self, monkeypatch):
+        moves = [("1970..1974", "1976.."), ("1975-03..1979-06", "1980-01-15.."),
+                 ("1981-07-09..1985-02-01", "1986.."), ("1990..1994", "1996-05.."),
+                 ("1996-11..2000", "2002..")]
+        text = (
+            "id u1\ntype body\nname U1\nbody-kind university\n\n"
+            "id u2\ntype body\nname U2\nbody-kind university\n\n"
+            "id s\ntype body\nname S\nbody-kind school\nsubdivision-of u1@1950..\n\n"
+            "id f\ntype body\nname F\nbody-kind faculty\nsubdivision-of s@1960..\n\n"
+        ) + "".join(
+            f"id p{i}\ntype person\nname P{i}\nstudent-of f@{study}\nprofessor-at u2@{chair}\n\n"
+            for i, (study, chair) in enumerate(moves)
+        )
+        store, _ = records_to_graph(parse_records(text), base=BASE)
+        walked = []
+        real = reason._walk
+        monkeypatch.setattr(reason, "_walk",
+                            lambda store, body, t: walked.append(body) or real(store, body, t))
+        events = mobility_events(store, TimeInterval(TimePoint(1900), TimePoint(2100)))
+        assert [(e.from_institution.local_name(), e.to_institution.local_name())
+                for e in events] == [("u1", "u2")] * len(moves)
+        # f's chain never changes after 1960: one walk for f, one for u2
+        assert sorted(b.local_name() for b in walked) == ["f", "u2"]
 
 
 class TestSuccession:
