@@ -193,10 +193,10 @@ class _Lifts:
             node = frontier.pop()
             for edge in self.store._match(None, has_subdivision, node, None, False):
                 iv = edge.validity.interval
-                if iv is not None and iv.start is not None:
-                    cuts.add(iv.start.first_day())
-                if iv is not None and iv.end is not None and iv.last_day() < date.max:
-                    cuts.add(iv.last_day() + timedelta(days=1))
+                if iv is not None:
+                    cuts.add(iv.first_day())
+                    if iv.last_day() < date.max:
+                        cuts.add(iv.last_day() + timedelta(days=1))
                 if edge.subject not in seen:
                     seen.add(edge.subject)
                     frontier.append(edge.subject)

@@ -12,6 +12,7 @@ import calendar
 import random
 from datetime import date
 from functools import lru_cache
+from typing import NamedTuple
 
 from etdgraph.model import (
     Iri,
@@ -408,6 +409,16 @@ def oracle_cooperation(store: Store, window: TimeInterval) -> list[tuple[Iri, Ir
 _ROLES = (("student", "isStudentOf"), ("professor", "isProfessorAt"))
 
 
+class _Affiliation(NamedTuple):
+    first: int  # day ordinals
+    last: int
+    body: str
+    role_rank: int
+    role: str
+    interval: TimeInterval
+    institution: Iri
+
+
 def oracle_mobility(store: Store, window: TimeInterval) -> list[tuple]:
     """Every person's moves with an arrival inside the window, by person
     IRI, then by departure day and arrival day. A move is
@@ -442,30 +453,30 @@ def oracle_mobility(store: Store, window: TimeInterval) -> list[tuple]:
 
 def _oracle_moves(store: Store, person: Iri) -> list[tuple]:
     affiliations = []
-    for role_index, (role, prop) in enumerate(_ROLES):
+    for role_rank, (role, prop) in enumerate(_ROLES):
         for t in _rows(store, prop, subject=person):
             iv = t.validity.interval
             days = interval_days(iv)
             lift_at = iv.start if iv.start is not None else iv.end
-            affiliations.append((min(days), max(days), t.object.value, role_index,
-                                 role, iv, oracle_top(store, t.object, lift_at)))
+            affiliations.append(_Affiliation(min(days), max(days), t.object.value, role_rank,
+                                             role, iv, oracle_top(store, t.object, lift_at)))
     affiliations.sort(key=lambda a: a[:4])
-    runs: list[list[tuple]] = []
+    runs: list[list[_Affiliation]] = []
     for aff in affiliations:
-        if runs and runs[-1][0][6] == aff[6]:
+        if runs and runs[-1][0].institution == aff.institution:
             runs[-1].append(aff)
         else:
             runs.append([aff])
 
     moves = []
     for earlier, later in zip(runs, runs[1:]):
-        latest = max(a[1] for a in earlier)
-        last = next(a for a in earlier
-                    if a[1] == latest and a[0] == max(b[0] for b in earlier if b[1] == latest))
-        from_role, departure_iv = last[4], last[5]
-        departure = None if departure_iv.end is None else max(point_days(departure_iv.end))
+        latest = max(a.last for a in earlier)
+        latest_start = max(a.first for a in earlier if a.last == latest)
+        last = next(a for a in earlier if (a.last, a.first) == (latest, latest_start))
+        from_role = last.role
+        departure = None if last.interval.end is None else max(point_days(last.interval.end))
         if from_role == "student":
-            run_days = set().union(*(interval_days(a[5]) for a in earlier))
+            run_days = set().union(*(interval_days(a.interval) for a in earlier))
             degree_ends = [max(point_days(t.validity.interval.end))
                            for t in _rows(store, "createdBy", obj=person)
                            if t.validity.interval is not None
@@ -473,13 +484,14 @@ def _oracle_moves(store: Store, person: Iri) -> list[tuple]:
                            and interval_days(t.validity.interval) & run_days]
             if degree_ends and (departure is None or max(degree_ends) > departure):
                 departure = max(degree_ends)
-        arrival = later[0][5].start
+        arrival = later[0].interval.start
         if departure is None or arrival is None:
             continue
         if min(point_days(arrival)) <= departure:
             continue
-        moves.append((person, earlier[0][6], later[0][6], from_role, later[0][4],
-                      departure, arrival, arrival.year - date.fromordinal(departure).year))
+        moves.append((person, earlier[0].institution, later[0].institution, from_role,
+                      later[0].role, departure, arrival,
+                      arrival.year - date.fromordinal(departure).year))
     return moves
 
 

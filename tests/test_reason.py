@@ -206,7 +206,7 @@ def _lift_or_cycle(lift, body, t):
 
 
 class TestLiftsPerCall:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
         st.integers(2, 5).flatmap(lambda n: st.tuples(
             st.just(n),
@@ -253,6 +253,13 @@ class TestLiftsPerCall:
     def test_not_a_body(self, network, iri):
         with pytest.raises(NotABody):
             reason._Lifts(network).at(iri("person/pA"), TimePoint(1998))
+
+    def test_edge_to_the_last_representable_day(self):
+        # no cut after 9999-12-31: the day after it is not a date
+        store, iris = body_store("u", "f", edges=[("u", "f", 1990, 9999)])
+        lifts = reason._Lifts(store)
+        assert lifts.at(iris["f"], TimePoint(9999, 12, 31)) == ([iris["u"]], iris["u"])
+        assert lifts.at(iris["f"], TimePoint(1989)) == ([], iris["f"])
 
     def test_walks_once_per_body_and_segment(self, monkeypatch):
         moves = [("1970..1974", "1976.."), ("1975-03..1979-06", "1980-01-15.."),
