@@ -501,7 +501,8 @@ def rand_network_store(rng: random.Random, n_universities=2, n_people=8, n_works
     change over time, and persons and works in the same decades.
 
     Each faculty leaves its first school at a random point and joins a
-    school of any university the day, month or year after; schools join
+    school of any university the day, month or year after (one time in
+    five it joins none); schools join
     their university late or leave it. One faculty also sits directly
     under its university while it sits under a school of it (a shortcut
     edge), and the first work is granted by that faculty and that
@@ -559,8 +560,8 @@ def rand_network_store(rng: random.Random, n_universities=2, n_people=8, n_works
         w = Iri(f"{base}/work/w{i}")
         put(w, "kind", vocab.class_iri(EntityKind.WORK), record=f"w{i}")
         if i == 0:
-            # granted by the shortcut faculty and its school while both
-            # edges hold: the two meet below the university
+            # granted by the shortcut faculty and its school while both of
+            # the faculty's edges hold
             faculty, school, edge = shortcut
             grantors = [faculty, school]
             study = TimeInterval(TimePoint(edge.start.year + 1), TimePoint(edge.end.year - 1))
