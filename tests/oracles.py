@@ -11,6 +11,7 @@ from __future__ import annotations
 import calendar
 import random
 from datetime import date
+from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -23,6 +24,7 @@ from etdgraph.model import (
     TimeInterval,
     TimePoint,
     Validity,
+    triple_sort_key,
 )
 from etdgraph.store import Store
 from etdgraph.vocab import EntityKind
@@ -329,19 +331,134 @@ def oracle_top(store: Store, body: Iri, t: TimePoint) -> Iri:
 
 def _oracle_studies(store: Store) -> dict[Iri, TimeInterval]:
     """Work -> study period: the authorship interval ending on the latest
-    day."""
-    studies: dict[Iri, TimeInterval] = {}
+    day; of several ending on that day, the one of the row first in
+    canonical order (`triple_sort_key`)."""
+    rows: dict[Iri, list] = {}
     for t in _rows(store, "createdBy"):
-        if t.validity.interval is None:
-            continue
-        prev = studies.get(t.subject)
-        if prev is None or max(interval_days(t.validity.interval)) > max(interval_days(prev)):
-            studies[t.subject] = t.validity.interval
-    return studies
+        if t.validity.interval is not None:
+            rows.setdefault(t.subject, []).append(t)
+    return {
+        work: min(ts, key=lambda t: (-max(interval_days(t.validity.interval)),
+                                     triple_sort_key(t))).validity.interval
+        for work, ts in rows.items()
+    }
 
 
 def _study_end(study: TimeInterval) -> TimePoint:
     return study.end if study.end is not None else study.start
+
+
+def _oracle_works(store: Store, window: TimeInterval, work_kind: str) -> list:
+    """(work, study period) of the works whose study period shares a day
+    with the window and, unless the kind is "any", whose workKind is it;
+    by work IRI."""
+    kinds = {t.subject: t.object.lexical for t in _rows(store, "workKind")}
+    return sorted(
+        ((work, study) for work, study in _oracle_studies(store).items()
+         if interval_days(study) & interval_days(window)
+         and work_kind in ("any", kinds.get(work))),
+        key=lambda ws: ws[0].value,
+    )
+
+
+def oracle_gender_of(store: Store, person: Iri, t: TimePoint) -> Iri | None:
+    """The gender of the person's `hasGender` row that holds on every day
+    of t. A time-scoped row beats an unqualified one, then the later
+    first day wins (an open start is the earliest), then the lowest
+    gender IRI."""
+    rows = [r for r in _rows(store, "hasGender", subject=person)
+            if oracle_validity_contains(r.validity, t)]
+    if not rows:
+        return None
+
+    def rank(r):
+        iv = r.validity.interval
+        if iv is None:
+            return (1, 0, r.object.value)
+        first = min(interval_days(iv)) if iv.start is not None else 0
+        return (0, -first, r.object.value)
+
+    return min(rows, key=rank).object
+
+
+_WORK_ROLES = {"advisor": "advisedBy", "committee": "committeeMember",
+               "dissertant": "createdBy"}
+
+
+def oracle_gender_tally(store: Store, scope: Iri, role: str, t: TimePoint,
+                        include_subdivisions: bool) -> tuple[list, int]:
+    """(gender, count) pairs by gender IRI, and the number of persons with
+    no gender at t.
+
+    The bodies are the scope and, with subdivisions, every body below it
+    through edges valid at t. Membership roles count the persons whose
+    `isStudentOf` / `isProfessorAt` row (both for "any") to one of the
+    bodies holds at t. Work roles count the distinct persons in that role
+    on works granted by one of the bodies whose study period shares a day
+    with the year of t.
+    """
+    bodies = {scope}
+    if include_subdivisions:
+        bodies |= {e.object for e in _rows(store, "hasSubdivision")
+                   if scope in oracle_reachable_parents(store, e.object, t)}
+    if role in _WORK_ROLES:
+        year = point_days(TimePoint(t.year))
+        studies = _oracle_studies(store)
+        works = {g.subject for g in _rows(store, "degreeGrantedBy")
+                 if g.object in bodies and g.subject in studies
+                 and interval_days(studies[g.subject]) & year}
+        people = {r.object for r in _rows(store, _WORK_ROLES[role]) if r.subject in works}
+    else:
+        props = [prop for name, prop in _ROLES if role in (name, "any")]
+        people = {r.subject for prop in props for r in _rows(store, prop)
+                  if r.object in bodies and oracle_validity_contains(r.validity, t)}
+    counts: dict[Iri, int] = {}
+    unspecified = 0
+    for person in people:
+        gender = oracle_gender_of(store, person, t)
+        if gender is None:
+            unspecified += 1
+        else:
+            counts[gender] = counts.get(gender, 0) + 1
+    return sorted(counts.items(), key=lambda kv: kv[0].value), unspecified
+
+
+def oracle_supervision_rate(store: Store, window: TimeInterval,
+                            work_kind: str = "any") -> tuple[list, int]:
+    """(gender, supervisions, share) rows by gender IRI, and the number of
+    supervisions whose advisor has no gender. Each `advisedBy` row of a
+    work in scope (see `_oracle_works`) is one supervision, under the
+    advisor's gender at the study end; shares are over the rows with a
+    gender."""
+    counts: dict[Iri, int] = {}
+    unspecified = 0
+    for work, study in _oracle_works(store, window, work_kind):
+        for t in _rows(store, "advisedBy", subject=work):
+            gender = oracle_gender_of(store, t.object, _study_end(study))
+            if gender is None:
+                unspecified += 1
+            else:
+                counts[gender] = counts.get(gender, 0) + 1
+    total = sum(counts.values())
+    return [(g, n, Fraction(n, total))
+            for g, n in sorted(counts.items(), key=lambda kv: kv[0].value)], unspecified
+
+
+def oracle_supervision_matrix(store: Store, window: TimeInterval,
+                              work_kind: str = "any") -> dict:
+    """advisor gender -> dissertant gender -> count, None for no gender.
+    Each `advisedBy` row of a work in scope counts once per distinct
+    dissertant of the work, with both genders read at the study end."""
+    matrix: dict = {}
+    for work, study in _oracle_works(store, window, work_kind):
+        end = _study_end(study)
+        dissertants = {t.object for t in _rows(store, "createdBy", subject=work)}
+        for t in _rows(store, "advisedBy", subject=work):
+            row = matrix.setdefault(oracle_gender_of(store, t.object, end), {})
+            for dissertant in dissertants:
+                gender = oracle_gender_of(store, dissertant, end)
+                row[gender] = row.get(gender, 0) + 1
+    return matrix
 
 
 def oracle_interdisciplinary(store: Store, window: TimeInterval) -> tuple[int, list[Iri]]:
@@ -509,6 +626,12 @@ def rand_network_store(rng: random.Random, n_universities=2, n_people=8, n_works
     school. Body IRIs are shuffled, so a university is not always the
     lowest IRI of its hierarchy. Every edge points from a higher level
     to a lower one, so no hierarchy has a cycle.
+
+    One person in five has no gender; the others have an unqualified
+    gender, time-scoped ones, or both. Most works have a workKind, and
+    some have a second authorship row that ends on the study's last day
+    from another start or at another precision, so that the study
+    period's tie-break decides.
     """
     store = Store(base_iri=base)
     vocab = store.vocab
@@ -548,9 +671,19 @@ def rand_network_store(rng: random.Random, n_universities=2, n_people=8, n_works
             put(universities[home], "hasSubdivision", f, Validity.during(first),
                 record=f.local_name())
 
+    genders = [Iri(f"{base}/gender/g{i}") for i in range(2)]
+    for g in genders:
+        put(g, "kind", vocab.class_iri(EntityKind.GENDER), record="g")
     people = [Iri(f"{base}/person/p{i}") for i in range(n_people)]
     for i, p in enumerate(people):
         put(p, "kind", vocab.class_iri(EntityKind.PERSON), record=f"p{i}")
+        if rng.random() < 0.8:
+            if rng.random() < 0.5:
+                put(p, "hasGender", rng.choice(genders), record=f"p{i}")
+            for k in range(rng.randint(0, 2)):
+                put(p, "hasGender", rng.choice(genders),
+                    Validity.during(rand_interval(rng, 1975, 2012, open_p=0.3)),
+                    record=f"p{i}g{k}")
         for _ in range(rng.randint(1, 4)):
             role = rng.choice(["isStudentOf", "isProfessorAt"])
             body = rng.choice(faculties + schools) if rng.random() < 0.9 else rng.choice(universities)
@@ -569,6 +702,12 @@ def rand_network_store(rng: random.Random, n_universities=2, n_people=8, n_works
             grantors = [rng.choice(faculties + schools) for _ in range(rng.randint(1, 2))]
             study = rand_interval(rng, 1975, 2012, open_p=0.0)
         put(w, "createdBy", rng.choice(people), Validity.during(study), f"w{i}")
+        if rng.random() < 0.4:
+            # a second authorship row ending on the study's last day
+            put(w, "createdBy", rng.choice(people),
+                Validity.during(_same_last_day(study, rng)), rng.choice([f"w{i}", f"w{i}b"]))
+        if rng.random() < 0.9:
+            put(w, "workKind", Literal(rng.choice(["master", "phd"])), record=f"w{i}")
         for _ in range(rng.randint(1, 2)):
             put(w, "advisedBy", rng.choice(people), record=f"w{i}")
         if rng.random() < 0.6:
@@ -576,6 +715,19 @@ def rand_network_store(rng: random.Random, n_universities=2, n_people=8, n_works
         for grantor in grantors:
             put(w, "degreeGrantedBy", grantor, record=f"w{i}")
     return store
+
+
+def _same_last_day(iv: TimeInterval, rng: random.Random) -> TimeInterval:
+    """An interval ending on iv's last day, at a random precision that can
+    name that day, from iv's start or from an earlier or later one."""
+    last = date.fromordinal(max(interval_days(iv)))
+    ends = [TimePoint(last.year, last.month, last.day)]
+    if last.day == calendar.monthrange(last.year, last.month)[1]:
+        ends.append(TimePoint(last.year, last.month))
+        if last.month == 12:
+            ends.append(TimePoint(last.year))
+    start = iv.start if rng.random() < 0.5 else rand_point(rng, 1970, last.year - 1)
+    return TimeInterval(start, rng.choice(ends))
 
 
 def _point_after(t: TimePoint, rng: random.Random) -> TimePoint | None:

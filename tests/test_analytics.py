@@ -18,14 +18,30 @@ from etdgraph.analytics import (
 from etdgraph.errors import NotABody
 from etdgraph.graphio import export_quads
 from etdgraph.ingest import parse_records, records_to_graph
-from etdgraph.model import Iri, TimeInterval, TimePoint
+from etdgraph.model import (
+    Iri,
+    Literal,
+    ProvenanceTag,
+    TemporalTriple,
+    TimeInterval,
+    TimePoint,
+    Validity,
+    intervals_overlap,
+)
 from etdgraph.reason import members_at
+from etdgraph.store import Pattern, Store
+from etdgraph.vocab import EntityKind
 
 from oracles import (
     oracle_cooperation,
+    oracle_gender_of,
+    oracle_gender_tally,
     oracle_interdisciplinary,
     oracle_mobility,
+    oracle_supervision_matrix,
+    oracle_supervision_rate,
     rand_network_store,
+    rand_point,
     rand_store,
 )
 
@@ -112,6 +128,31 @@ class TestSupervisorRate:
         rates = supervisor_gender_rate(network, years(1900, 1950), "any")
         assert rates.by_gender == {} and rates.unspecified == 0
 
+    @pytest.mark.parametrize("da_first", [True, False])
+    def test_study_end_tie_takes_the_canonically_first_row(self, da_first):
+        # both authorship rows end on 2004-12-31; da's is first in canonical
+        # order, so the study ends on the day 2004-12-31, on which the
+        # advisor's gender holds (it does not hold on all of 2004)
+        store = Store(base_iri=BASE)
+        work, da, db, advisor = (Iri(f"{BASE}/{p}") for p in
+                                 ("work/w", "person/da", "person/db", "person/pv"))
+        authorship = [
+            (work, "createdBy", da, TimeInterval(TimePoint(2001), TimePoint(2004, 12, 31))),
+            (work, "createdBy", db, TimeInterval(TimePoint(2000), TimePoint(2004))),
+        ]
+        rows = (authorship if da_first else authorship[::-1]) + [
+            (work, "advisedBy", advisor, None),
+            (advisor, "hasGender", Iri(f"{BASE}/gender/female"),
+             TimeInterval(TimePoint(2004, 6), None)),
+        ]
+        for s, p, o, iv in rows:
+            store.insert(TemporalTriple(s, store.vocab.expand(p), o,
+                                        Validity.during(iv) if iv else Validity(),
+                                        ProvenanceTag("r", BASE)))
+        rates = supervisor_gender_rate(store, years(2004, 2004))
+        assert local({g: e.supervisions for g, e in rates.by_gender.items()}) == {"female": 1}
+        assert rates.unspecified == 0
+
 
 class TestMatrix:
     def test_fixture_women_supervising_men(self, network, iri):
@@ -134,6 +175,14 @@ class TestMatrix:
             unspecified_row = matrix.get(None, {})
             assert sum(unspecified_row.values()) == rates.unspecified
 
+    def test_key_order_matches_reference(self, network):
+        for window in (years(1990, 2005), years(1990, 2020), years(2000, 2010)):
+            for kind in ("master", "phd", "any"):
+                matrix = supervision_gender_matrix(network, window, kind)
+                reference = _reference_matrix(network, window, kind)
+                assert _key_order(matrix) == _key_order(reference)
+                assert matrix == reference
+
     def test_row_sums_match_on_random_stores(self):
         rng = random.Random(909)
         window = years(1970, 2019)
@@ -144,6 +193,38 @@ class TestMatrix:
             for gender, entry in rates.by_gender.items():
                 assert sum(matrix[gender].values()) == entry.supervisions
             assert sum(matrix.get(None, {}).values()) == rates.unspecified
+
+
+def _reference_matrix(store, interval, work_kind):
+    """supervision_gender_matrix as first written, kept for the order of
+    its keys: works by IRI, each work's advisors in canonical order, and
+    its dissertants by IRI."""
+    prop = store.vocab.expand
+    studies = {}
+    for t in store.match(Pattern(property=prop("createdBy"))):
+        iv = t.validity.interval
+        if iv is not None and (t.subject not in studies
+                               or iv.last_day() > studies[t.subject].last_day()):
+            studies[t.subject] = iv
+    kinds = {t.subject for t in store.match(
+        Pattern(property=prop("workKind"), object=Literal(work_kind)))}
+    matrix = {}
+    for work, study in studies.items():
+        if (work_kind != "any" and work not in kinds) or not intervals_overlap(study, interval):
+            continue
+        when = study.end if study.end is not None else study.start
+        dissertants = sorted({t.object for t in store.match(
+            Pattern(subject=work, property=prop("createdBy")))}, key=lambda i: i.value)
+        for t in store.match(Pattern(subject=work, property=prop("advisedBy"))):
+            row = matrix.setdefault(gender_of(store, t.object, when), {})
+            for dissertant in dissertants:
+                gender = gender_of(store, dissertant, when)
+                row[gender] = row.get(gender, 0) + 1
+    return matrix
+
+
+def _key_order(matrix):
+    return [(advisor, list(row)) for advisor, row in matrix.items()]
 
 
 class TestInterdisciplinary:
@@ -287,6 +368,44 @@ class TestReportOracles:
     def test_interdisciplinary_matches_oracle(self, rng):
         store, window = _network_and_window(rng)
         assert interdisciplinary_works(store, window) == oracle_interdisciplinary(store, window)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_gender_of_matches_oracle(self, rng):
+        store = rand_network_store(rng)
+        for person in store.entities_of_kind(EntityKind.PERSON):
+            for at in (rand_point(rng, 1975, 2012) for _ in range(3)):
+                assert gender_of(store, person, at) == oracle_gender_of(store, person, at)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_gender_tally_matches_oracle(self, rng):
+        store = rand_network_store(rng)
+        at = rand_point(rng, 1975, 2012)
+        subdivisions = rng.random() < 0.5
+        for scope in rng.sample(store.entities_of_kind(EntityKind.CORPORATE_BODY), 2):
+            for role in ("student", "professor", "any", "advisor", "committee", "dissertant"):
+                tally = gender_tally(store, scope, role, at, subdivisions)
+                assert (list(tally.counts.items()), tally.unspecified) == \
+                    oracle_gender_tally(store, scope, role, at, subdivisions)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_supervision_rate_matches_oracle(self, rng):
+        store, window = _network_and_window(rng)
+        for kind in ("any", "master", "phd"):
+            rates = supervisor_gender_rate(store, window, kind)
+            assert ([(g, e.supervisions, e.share) for g, e in rates.by_gender.items()],
+                    rates.unspecified) == oracle_supervision_rate(store, window, kind)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_supervision_matrix_matches_oracle(self, rng):
+        store, window = _network_and_window(rng)
+        for kind in ("any", "master", "phd"):
+            matrix = supervision_gender_matrix(store, window, kind)
+            assert matrix == oracle_supervision_matrix(store, window, kind)
+            assert _key_order(matrix) == _key_order(_reference_matrix(store, window, kind))
 
     @settings(max_examples=50, deadline=None)
     @given(st.randoms(use_true_random=False))

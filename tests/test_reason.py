@@ -412,6 +412,25 @@ class TestMobility:
         assert events[0].departure == TimePoint(2000)
         assert events[0].gap_years == 3
 
+    @pytest.mark.parametrize("a_first", [True, False])
+    def test_degree_end_tie_takes_the_canonically_first_work(self, a_first):
+        # both studies end on 2004-12-31; wa comes first in canonical order,
+        # so the departure is its end point, at month precision
+        works = [
+            "id wa\ntype work\ntitle A\nwork-kind phd\ndissertant p\n"
+            "study 2001..2004-12\ngrantor u1\n",
+            "id wb\ntype work\ntitle B\nwork-kind phd\ndissertant p\n"
+            "study 2000..2004\ngrantor u1\n",
+        ]
+        text = "\n".join([
+            "id u1\ntype body\nname U1\nbody-kind university\n",
+            "id u2\ntype body\nname U2\nbody-kind university\n",
+            "id p\ntype person\nname P\nstudent-of u1@1998..2003\nprofessor-at u2@2006..\n",
+        ] + (works if a_first else works[::-1]))
+        store, _ = records_to_graph(parse_records(text), base=BASE)
+        events = derive_mobility(store, Iri(f"{BASE}/person/p"))
+        assert [e.departure for e in events] == [TimePoint(2004, 12)]
+
 
 class TestTopInstitution:
     def test_lifts_to_university(self, network, iri):
