@@ -17,6 +17,7 @@ Shares and averages are exact rationals (fractions.Fraction).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from .reason import (
     PROFESSOR,
     STUDENT,
     MobilityEvent,
+    _ends_later,
     _Lifts,
     derive_mobility,
     members_at,
@@ -88,10 +90,10 @@ class MobilityAggregate:
 
 def gender_of(store: Store, person: Iri, at: TimePoint) -> Iri | None:
     """Gender valid at the given point; a time-scoped assertion wins over
-    an unqualified one, later starts win, ties break on the gender IRI."""
-    hits = store.match(
-        Pattern(subject=person, property=store.vocab.expand("hasGender"), time=At(at))
-    )
+    an unqualified one, later starts win, ties break on the gender IRI.
+    Rows that tie on all three name one gender, so the probe's order does
+    not matter."""
+    hits = store._match(person, store.vocab.expand("hasGender"), None, At(at), False)
     if not hits:
         return None
 
@@ -104,25 +106,38 @@ def gender_of(store: Store, person: Iri, at: TimePoint) -> Iri | None:
     return min(hits, key=rank).object
 
 
-def _work_studies(store: Store, work_kind: str = ANY_KIND) -> dict[Iri, TimeInterval]:
-    """Work -> study period (the createdBy validity; latest end wins when
-    a work carries several authorship statements)."""
-    kind_prop = store.vocab.expand("workKind")
-    out: dict[Iri, TimeInterval] = {}
-    for t in store.match(Pattern(property=store.vocab.expand("createdBy"))):
-        iv = t.validity.interval
-        if iv is None:
-            continue
-        prev = out.get(t.subject)
-        if prev is None or iv.last_day() > prev.last_day():
-            out[t.subject] = iv
+def _work_studies(
+    store: Store, work_kind: str = ANY_KIND, works: Iterable[Iri] | None = None
+) -> dict[Iri, TimeInterval]:
+    """Work -> study period, for every work or only the given ones, in no
+    particular order. The study period is the createdBy validity that
+    ends on the latest day; of several ending on that day, the one of the
+    row first in canonical order (`_ends_later`)."""
+    created_by = store.vocab.expand("createdBy")
+    latest: dict[Iri, TemporalTriple] = {}
+    for work in [None] if works is None else works:
+        for t in store._match(work, created_by, None, None, False):
+            if t.validity.interval is not None and (
+                t.subject not in latest or _ends_later(t, latest[t.subject])
+            ):
+                latest[t.subject] = t
     if work_kind != ANY_KIND:
-        keep = {
-            t.subject
-            for t in store.match(Pattern(property=kind_prop, object=Literal(work_kind)))
-        }
-        out = {w: iv for w, iv in out.items() if w in keep}
-    return out
+        kind_prop = store.vocab.expand("workKind")
+        keep = {t.subject for t in store._match(None, kind_prop, Literal(work_kind), None, False)}
+        latest = {w: t for w, t in latest.items() if w in keep}
+    return {w: t.validity.interval for w, t in latest.items()}
+
+
+def _studies_during(
+    store: Store, interval: TimeInterval, work_kind: str = ANY_KIND
+) -> list[tuple[Iri, TimeInterval]]:
+    """(work, study period) of the works whose study period overlaps the
+    interval, by work IRI."""
+    return sorted(
+        ((w, iv) for w, iv in _work_studies(store, work_kind).items()
+         if intervals_overlap(iv, interval)),
+        key=lambda ws: ws[0].value,
+    )
 
 
 def _study_end(iv: TimeInterval) -> TimePoint:
@@ -131,7 +146,7 @@ def _study_end(iv: TimeInterval) -> TimePoint:
 
 def _dissertants(store: Store, work: Iri) -> list[Iri]:
     return sorted(
-        {t.object for t in store.match(Pattern(subject=work, property=store.vocab.expand("createdBy")))},
+        {t.object for t in store._match(work, store.vocab.expand("createdBy"), None, None, False)},
         key=lambda i: i.value,
     )
 
@@ -171,19 +186,14 @@ def gender_tally(
 def _work_role_people(store, scope, role, at, include_subdivisions) -> list[Iri]:
     bodies = subtree_at(store, {scope}, at) if include_subdivisions else {scope}
     year_window = TimeInterval(TimePoint(at.year), TimePoint(at.year))
-    studies = _work_studies(store)
     granted_by = store.vocab.expand("degreeGrantedBy")
-    works = set()
-    for body in bodies:
-        for t in store.match(Pattern(property=granted_by, object=body)):
-            study = studies.get(t.subject)
-            if study is not None and intervals_overlap(study, year_window):
-                works.add(t.subject)
+    granted = {t.subject for body in bodies
+               for t in store._match(None, granted_by, body, None, False)}
     prop = store.vocab.expand(_ROLE_PROPERTY[role])
     people = set()
-    for work in works:
-        for t in store.match(Pattern(subject=work, property=prop)):
-            people.add(t.object)
+    for work, study in _work_studies(store, works=granted).items():
+        if intervals_overlap(study, year_window):
+            people.update(t.object for t in store._match(work, prop, None, None, False))
     return sorted(people, key=lambda i: i.value)
 
 
@@ -196,11 +206,9 @@ def supervisor_gender_rate(
     advised_by = store.vocab.expand("advisedBy")
     counts: dict[Iri, int] = {}
     unspecified = 0
-    for work, study in _work_studies(store, work_kind).items():
-        if not intervals_overlap(study, interval):
-            continue
+    for work, study in _studies_during(store, interval, work_kind):
         when = _study_end(study)
-        for t in store.match(Pattern(subject=work, property=advised_by)):
+        for t in store._match(work, advised_by, None, None, False):
             gender = gender_of(store, t.object, when)
             if gender is None:
                 unspecified += 1
@@ -224,16 +232,17 @@ def supervision_gender_matrix(
     study end."""
     advised_by = store.vocab.expand("advisedBy")
     matrix: dict[Iri | None, dict[Iri | None, int]] = {}
-    for work, study in _work_studies(store, work_kind).items():
-        if not intervals_overlap(study, interval):
-            continue
+    for work, study in _studies_during(store, interval, work_kind):
         when = _study_end(study)
-        for t in store.match(Pattern(subject=work, property=advised_by)):
-            advisor_gender = gender_of(store, t.object, when)
-            for dissertant in _dissertants(store, work):
-                dissertant_gender = gender_of(store, dissertant, when)
-                row = matrix.setdefault(advisor_gender, {})
-                row[dissertant_gender] = row.get(dissertant_gender, 0) + 1
+        # canonical advisor order fixes the order of the matrix keys
+        advisors = store.match(Pattern(subject=work, property=advised_by))
+        dissertant_genders = [
+            gender_of(store, d, when) for d in _dissertants(store, work)
+        ] if advisors else []
+        for t in advisors:
+            row = matrix.setdefault(gender_of(store, t.object, when), {})
+            for gender in dissertant_genders:
+                row[gender] = row.get(gender, 0) + 1
     return matrix
 
 
@@ -245,9 +254,7 @@ def interdisciplinary_works(
     granted_by = store.vocab.expand("degreeGrantedBy")
     lifts = _Lifts(store)
     hits = []
-    for work, study in _work_studies(store).items():
-        if not intervals_overlap(study, interval):
-            continue
+    for work, study in _studies_during(store, interval):
         when = _study_end(study)
         grantors = sorted(
             {t.object for t in store._match(work, granted_by, None, None, False)},
@@ -322,9 +329,7 @@ def institution_cooperation(
 
     lifts = _Lifts(store)
     pair_works: dict[tuple[Iri, Iri], set[Iri]] = {}
-    for work, study in _work_studies(store).items():
-        if not intervals_overlap(study, interval):
-            continue
+    for work, study in _studies_during(store, interval):
         when = _study_end(study)
         grantor_institutions = {
             lifts.at(t.object, when)[1]

@@ -251,7 +251,7 @@ def subtree_at(store: Store, roots: set[Iri], t: TimePoint | None) -> set[Iri]:
     frontier = list(roots)
     while frontier:
         node = frontier.pop()
-        for child in store.match(Pattern(subject=node, property=has_subdivision, time=time)):
+        for child in store._match(node, has_subdivision, None, time, False):
             if child.object not in seen:
                 seen.add(child.object)
                 frontier.append(child.object)
@@ -286,7 +286,7 @@ def members_at(
     people = set()
     for target in targets:
         for prop in props:
-            for hit in store.match(Pattern(property=prop, object=target, time=At(t))):
+            for hit in store._match(None, prop, target, At(t), False):
                 people.add(hit.subject)
     return sorted(people, key=lambda i: i.value)
 
@@ -340,20 +340,29 @@ class _Run:
         )
 
 
+def _ends_later(a: TemporalTriple, b: TemporalTriple) -> bool:
+    """Whether a's interval ends on a later day than b's, or on the same
+    day with a first in canonical order; the sort key is built only on
+    such a tie."""
+    a_last, b_last = a.validity.interval.last_day(), b.validity.interval.last_day()
+    return a_last > b_last or (a_last == b_last and triple_sort_key(a) < triple_sort_key(b))
+
+
 def _degree_end(store: Store, person: Iri, run: _Run) -> TimePoint | None:
-    """Latest study-period end among the person's works overlapping the run."""
+    """Latest study-period end among the person's works overlapping the
+    run; of several ending on one day, that of the row first in canonical
+    order (`_ends_later`)."""
     created_by = store.vocab.expand("createdBy")
-    best: TimePoint | None = None
-    for t in store.match(Pattern(property=created_by, object=person)):
+    best: TemporalTriple | None = None
+    for t in store._match(None, created_by, person, None, False):
         iv = t.validity.interval
         if iv is None or iv.end is None:
             continue
-        if any(
-            a.triple.validity.overlaps(iv) for a in run.affiliations
+        if any(a.triple.validity.overlaps(iv) for a in run.affiliations) and (
+            best is None or _ends_later(t, best)
         ):
-            if best is None or iv.end.last_day() > best.last_day():
-                best = iv.end
-    return best
+            best = t
+    return None if best is None else best.validity.interval.end
 
 
 def derive_mobility(

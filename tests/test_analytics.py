@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etdgraph import analytics
 from etdgraph.analytics import (
     gender_of,
     gender_tally,
@@ -56,6 +57,18 @@ def local(counts):
     return {g.local_name() if g else None: v for g, v in counts.items()}
 
 
+def store_of(rows):
+    """A store of (subject, property, object, interval or None) rows, with
+    IRIs given as paths under BASE."""
+    store = Store(base_iri=BASE)
+    for s, p, o, iv in rows:
+        store.insert(TemporalTriple(Iri(f"{BASE}/{s}"), store.vocab.expand(p),
+                                    Iri(f"{BASE}/{o}"),
+                                    Validity.during(iv) if iv else Validity(),
+                                    ProvenanceTag("r", BASE)))
+    return store
+
+
 class TestGenderTally:
     def test_fixture_advisors_of_university_x(self, network, iri):
         tally = gender_tally(network, iri("body/ux"), "advisor", TimePoint(1998), True)
@@ -84,6 +97,23 @@ class TestGenderTally:
         for role in ("student", "professor", "any"):
             tally = gender_tally(network, iri("body/ux"), role, t, True)
             assert tally.total == len(members_at(network, iri("body/ux"), t, role, True))
+
+    def test_work_role_reads_only_granted_studies(self, network, iri, monkeypatch):
+        created_by = network.vocab.expand("createdBy")
+        granted = {t.subject for t in network.match(
+            Pattern(property=network.vocab.expand("degreeGrantedBy"), object=iri("body/uy")))}
+        probed = []
+        real = Store._match
+
+        def spy(store, subject, prop, *rest):
+            if prop == created_by:
+                probed.append(subject)
+            return real(store, subject, prop, *rest)
+
+        monkeypatch.setattr(Store, "_match", spy)
+        tally = gender_tally(network, iri("body/uy"), "dissertant", TimePoint(2009), False)
+        assert tally.total > 0
+        assert probed and set(probed) <= granted
 
     def test_counts_stable_under_reingestion(self, network):
         # duplicate ingest of the same batch coalesces to the same store
@@ -133,22 +163,15 @@ class TestSupervisorRate:
         # both authorship rows end on 2004-12-31; da's is first in canonical
         # order, so the study ends on the day 2004-12-31, on which the
         # advisor's gender holds (it does not hold on all of 2004)
-        store = Store(base_iri=BASE)
-        work, da, db, advisor = (Iri(f"{BASE}/{p}") for p in
-                                 ("work/w", "person/da", "person/db", "person/pv"))
         authorship = [
-            (work, "createdBy", da, TimeInterval(TimePoint(2001), TimePoint(2004, 12, 31))),
-            (work, "createdBy", db, TimeInterval(TimePoint(2000), TimePoint(2004))),
+            ("work/w", "createdBy", "person/da",
+             TimeInterval(TimePoint(2001), TimePoint(2004, 12, 31))),
+            ("work/w", "createdBy", "person/db", TimeInterval(TimePoint(2000), TimePoint(2004))),
         ]
-        rows = (authorship if da_first else authorship[::-1]) + [
-            (work, "advisedBy", advisor, None),
-            (advisor, "hasGender", Iri(f"{BASE}/gender/female"),
-             TimeInterval(TimePoint(2004, 6), None)),
-        ]
-        for s, p, o, iv in rows:
-            store.insert(TemporalTriple(s, store.vocab.expand(p), o,
-                                        Validity.during(iv) if iv else Validity(),
-                                        ProvenanceTag("r", BASE)))
+        store = store_of((authorship if da_first else authorship[::-1]) + [
+            ("work/w", "advisedBy", "person/pv", None),
+            ("person/pv", "hasGender", "gender/female", TimeInterval(TimePoint(2004, 6), None)),
+        ])
         rates = supervisor_gender_rate(store, years(2004, 2004))
         assert local({g: e.supervisions for g, e in rates.by_gender.items()}) == {"female": 1}
         assert rates.unspecified == 0
@@ -174,6 +197,20 @@ class TestMatrix:
                 assert sum(matrix[gender].values()) == entry.supervisions
             unspecified_row = matrix.get(None, {})
             assert sum(unspecified_row.values()) == rates.unspecified
+
+    def test_reads_each_dissertant_gender_once_per_work(self, monkeypatch):
+        study = TimeInterval(TimePoint(2000), TimePoint(2004))
+        store = store_of(
+            [("work/w", "createdBy", f"person/{d}", study) for d in ("d1", "d2")]
+            + [("work/w", "advisedBy", f"person/{a}", None) for a in ("a1", "a2")]
+            + [(f"person/{p}", "hasGender", "gender/female", None)
+               for p in ("a1", "a2", "d1", "d2")])
+        reads = []
+        monkeypatch.setattr(analytics, "gender_of",
+                            lambda *args: reads.append(args[1]) or gender_of(*args))
+        matrix = supervision_gender_matrix(store, years(2000, 2004), "any")
+        assert local(matrix[Iri(f"{BASE}/gender/female")]) == {"female": 4}
+        assert len(reads) == 4  # two advisors and two dissertants
 
     def test_key_order_matches_reference(self, network):
         for window in (years(1990, 2005), years(1990, 2020), years(2000, 2010)):
