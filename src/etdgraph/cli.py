@@ -24,15 +24,6 @@ from .model import Iri, TimeInterval, TimePoint
 from .store import DEFAULT_BASE_IRI, Effect, Store
 from .vocab import EntityKind
 
-_ENTITY_SEGMENTS = {
-    "person": EntityKind.PERSON,
-    "body": EntityKind.CORPORATE_BODY,
-    "work": EntityKind.WORK,
-    "place": EntityKind.PLACE,
-    "gender": EntityKind.GENDER,
-}
-
-
 class _UsageError(Exception):
     pass
 
@@ -317,7 +308,7 @@ def _make_handler(store: Store):
             if path == "/health":
                 return 200, "ok"
             parts = path.lstrip("/").split("/")
-            if len(parts) == 3 and parts[0] == "entity" and parts[1] in _ENTITY_SEGMENTS:
+            if len(parts) == 3 and parts[0] == "entity" and parts[1] in ingest._KIND_SEGMENT.values():
                 iri_text = f"{store.base_iri.value.rstrip('/')}/{parts[1]}/{parts[2]}"
                 try:
                     focus = Iri(iri_text)

@@ -29,6 +29,7 @@ import hashlib
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import DanglingContext, EtdError, NotFound, QuadParseError
 from .model import (
@@ -43,7 +44,7 @@ from .model import (
     Validity,
     triple_sort_key,
 )
-from .store import Inference, Pattern, Store
+from .store import Store
 from .vocab import EntityKind, Vocabulary
 
 _XSD = "http://www.w3.org/2001/XMLSchema#"
@@ -417,12 +418,11 @@ def describe_entity(store: Store, focus: Iri) -> DescriptionDocument:
     their inverse-derived flips, and one label per neighbor."""
     if not store.has_entity(focus):
         raise NotFound(f"<{focus}> is not in the store")
-    as_subject = store.match(Pattern(subject=focus, inference=Inference.INVERSE))
-    as_object = store.match(Pattern(object=focus, inference=Inference.INVERSE))
-    merged: dict = {}
-    for t in as_subject + as_object:
-        key = (t.subject, t.property, t.object, t.validity, t.provenance, t.derived)
-        merged.setdefault(key, t)
+    # The key sorts distinct rows of one store totally, with a stored row
+    # before the derived one that compares equal to it.
+    hits = chain(store._match(focus, None, None, None, True),
+                 store._match(None, None, focus, None, True))
+    merged = {(t, t.derived): t for t in hits}
     triples = sorted(merged.values(), key=lambda t: (triple_sort_key(t), t.derived))
 
     neighbors = set()

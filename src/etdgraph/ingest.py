@@ -41,7 +41,7 @@ from .model import (
     TimePoint,
     Validity,
 )
-from .store import DEFAULT_BASE_IRI, Effect, Pattern, Store
+from .store import DEFAULT_BASE_IRI, Effect, Store
 from .vocab import DEFAULT_VOCAB, CorporateBodySubkind, EntityKind
 
 DEFAULT_AUTHORITY_IRI = "http://example.org/etd/authority"
@@ -296,7 +296,7 @@ class _Builder:
             tag = self.tags[source] = ProvenanceTag(source, self.authority, self.batch_date)
         return tag
 
-    def _resolve(self, kind: EntityKind, local_id: str, record: Record, line: int) -> Iri:
+    def _resolve(self, kind: EntityKind, local_id: str) -> Iri:
         hit = self.local.get((kind, local_id))
         if hit is not None:
             return hit
@@ -338,7 +338,7 @@ class _Builder:
                         TemporalTriple(iri, self.vocab.expand(prop), obj, ALWAYS, tag))
         return iri
 
-    def _validity(self, qualifier: str | None, record: Record, line: int,
+    def _validity(self, qualifier: str | None, line: int,
                   required_key: str | None = None) -> Validity:
         if qualifier is None:
             if required_key is not None:
@@ -365,7 +365,7 @@ class _Builder:
     def _names(self, record: Record, entity: Iri, key: str):
         for f in record.values(key):
             text, qualifier = _split_qualifier(f.value)
-            validity = self._validity(qualifier, record, f.line)
+            validity = self._validity(qualifier, f.line)
             self._emit(record, entity, "label", Literal(text), validity)
 
     def _emit_person(self, record: Record, person: Iri):
@@ -374,17 +374,17 @@ class _Builder:
             value, qualifier = _split_qualifier(f.value)
             gender = self._value_entity(EntityKind.GENDER, value)
             self._emit(record, person, "hasGender", gender,
-                       self._validity(qualifier, record, f.line))
+                       self._validity(qualifier, f.line))
         for f in record.values("student-of"):
             body_id, qualifier = _split_qualifier(f.value)
-            body = self._resolve(EntityKind.CORPORATE_BODY, body_id, record, f.line)
+            body = self._resolve(EntityKind.CORPORATE_BODY, body_id)
             self._emit(record, person, "isStudentOf", body,
-                       self._validity(qualifier, record, f.line, "student-of"))
+                       self._validity(qualifier, f.line, "student-of"))
         for f in record.values("professor-at"):
             body_id, qualifier = _split_qualifier(f.value)
-            body = self._resolve(EntityKind.CORPORATE_BODY, body_id, record, f.line)
+            body = self._resolve(EntityKind.CORPORATE_BODY, body_id)
             self._emit(record, person, "isProfessorAt", body,
-                       self._validity(qualifier, record, f.line, "professor-at"))
+                       self._validity(qualifier, f.line, "professor-at"))
         f = record.first("birth-place")
         if f is not None:
             place = self._value_entity(EntityKind.PLACE, f.value)
@@ -399,15 +399,15 @@ class _Builder:
             self._emit(record, body, "establishedIn", Literal(f.value, Datatype.YEAR))
         for f in record.values("subdivision-of"):
             parent_id, qualifier = _split_qualifier(f.value)
-            parent = self._resolve(EntityKind.CORPORATE_BODY, parent_id, record, f.line)
+            parent = self._resolve(EntityKind.CORPORATE_BODY, parent_id)
             # stored from the parent side; the child side is inferred
             self._emit(record, parent, "hasSubdivision", body,
-                       self._validity(qualifier, record, f.line, "subdivision-of"))
+                       self._validity(qualifier, f.line, "subdivision-of"))
         for f in record.values("changed-to"):
             succ_id, qualifier = _split_qualifier(f.value)
             if qualifier is None:
                 raise RecordSyntaxError(f.line, "changed-to needs an @point qualifier")
-            successor = self._resolve(EntityKind.CORPORATE_BODY, succ_id, record, f.line)
+            successor = self._resolve(EntityKind.CORPORATE_BODY, succ_id)
             self._emit(record, body, "changedTo", successor,
                        Validity.at(TimePoint.parse(qualifier)))
 
@@ -418,33 +418,32 @@ class _Builder:
         study = record.first("study")
         study_validity = Validity.during(parse_interval_text(study.value))
         f = record.first("dissertant")
-        author = self._resolve(EntityKind.PERSON, f.value, record, f.line)
+        author = self._resolve(EntityKind.PERSON, f.value)
         self._emit(record, work, "createdBy", author, study_validity)
         for f in record.values("advisor"):
-            person = self._resolve(EntityKind.PERSON, f.value, record, f.line)
+            person = self._resolve(EntityKind.PERSON, f.value)
             self._emit(record, work, "advisedBy", person)
         for f in record.values("committee"):
-            person = self._resolve(EntityKind.PERSON, f.value, record, f.line)
+            person = self._resolve(EntityKind.PERSON, f.value)
             self._emit(record, work, "committeeMember", person)
         for f in record.values("grantor"):
-            body = self._resolve(EntityKind.CORPORATE_BODY, f.value, record, f.line)
+            body = self._resolve(EntityKind.CORPORATE_BODY, f.value)
             self._emit(record, work, "degreeGrantedBy", body)
         for f in record.values("related-to"):
             self._link(record, work, "relatedTo", f)
 
     def _grantor_warnings(self, store: Store):
+        # unsorted probes: `run` sorts the warnings
         university = CorporateBodySubkind.UNIVERSITY.value
-        granted = store.match(Pattern(property=self.vocab.expand("degreeGrantedBy")))
+        body_kind = self.vocab.expand("bodyKind")
+        has_subdivision = self.vocab.expand("hasSubdivision")
+        granted = store._match(None, self.vocab.expand("degreeGrantedBy"), None, None, False)
         for t in granted:
             body = t.object
-            subkinds = [
-                x.object.lexical
-                for x in store.match(Pattern(subject=body, property=self.vocab.expand("bodyKind")))
-            ]
+            subkinds = [x.object.lexical for x in store._match(body, body_kind, None, None, False)]
             if university not in subkinds:
                 continue
-            children = store.match(Pattern(subject=body, property=self.vocab.expand("hasSubdivision")))
-            if children:
+            if store._match(body, has_subdivision, None, None, False):
                 self.report.warnings.append(
                     f"work <{t.subject}> granted by university <{body}> "
                     "which has its own subdivisions"

@@ -212,7 +212,7 @@ def successor_chain(store: Store, body: Iri) -> list[Iri]:
     current = body
     while True:
         successors = sorted(
-            {t.object for t in store.match(Pattern(subject=current, property=changed_to))},
+            {t.object for t in store._match(current, changed_to, None, None, False)},
             key=lambda i: i.value,
         )
         if not successors:
@@ -235,8 +235,8 @@ def _succession_component(store: Store, body: Iri) -> set[Iri]:
     frontier = [body]
     while frontier:
         node = frontier.pop()
-        forward = {t.object for t in store.match(Pattern(subject=node, property=changed_to))}
-        backward = {t.subject for t in store.match(Pattern(property=changed_to, object=node))}
+        forward = {t.object for t in store._match(node, changed_to, None, None, False)}
+        backward = {t.subject for t in store._match(None, changed_to, node, None, False)}
         for other in forward | backward:
             if other not in seen:
                 seen.add(other)

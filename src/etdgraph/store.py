@@ -4,8 +4,8 @@ Statements that agree on subject, property, object, and provenance but
 have overlapping or day-adjacent validity are coalesced into one row on
 insert, so the stored set is always canonical: any insert order gives
 the same rows. Rows that together cover every day become one unqualified
-row, except for memberships, which must keep an interval; such a
-membership stays split in two rows, and which two depends on the order.
+row; a membership, which must keep an interval, becomes one row
+`[0001..]`, which starts on the first representable day.
 Instants of an instant property (`changedTo`) coalesce only when one
 contains the other; day-adjacent instants stay two rows.
 Statements differing in provenance are kept apart deliberately: merging
@@ -48,7 +48,6 @@ from .model import (
     interval_hull,
     intervals_overlap,
     intervals_touch,
-    merge_if_coalescable,
     triple_sort_key,
 )
 from .vocab import (
@@ -114,6 +113,9 @@ def _key(triple: TemporalTriple) -> tuple:
     return (triple.subject, triple.property, triple.object, triple.provenance)
 
 
+_ALL_DAYS = Validity.during(TimeInterval(TimePoint(1), None))
+
+
 def _requires_interval(pdef: PropertyDef) -> bool:
     return pdef.frad_category is FradCategory.MEMBERSHIP and pdef.temporal_expected
 
@@ -123,12 +125,12 @@ def _coalesce(
 ) -> tuple[Validity, list[TemporalTriple]]:
     """The validity a time-scoped statement takes in a key holding `rows`,
     and the rows it absorbs."""
-    # Rows of one key never touch each other (only the two rows of a split
-    # membership and day-adjacent instants may), so while the hull is
-    # representable, the rows the new interval touches are exactly the
-    # ones it joins into one. Instants join only into an instant: calendar
-    # points are nested or disjoint, so overlapping ones have the coarser
-    # point as their hull, and day-adjacent ones stay apart.
+    # Rows of one key never touch each other (only day-adjacent instants
+    # may), so while the hull is representable, the rows the new interval
+    # touches are exactly the ones it joins into one. Instants join only
+    # into an instant: calendar points are nested or disjoint, so
+    # overlapping ones have the coarser point as their hull, and
+    # day-adjacent ones stay apart.
     interval = validity.interval
     touches = intervals_overlap if pdef.instant else intervals_touch
     touching = [t for t in rows if touches(interval, t.validity.interval)]
@@ -137,39 +139,9 @@ def _coalesce(
     hull = interval_hull([interval] + [t.validity.interval for t in touching])
     if hull is not None:
         return Validity.during(hull), touching
-    if _requires_interval(pdef):
-        # Together the rows cover every day, which this property cannot
-        # state in one row: join what can be joined.
-        hull, joined = _join_greedily(interval, rows)
-        return Validity.during(hull), joined
-    # together the rows cover every day: an unqualified statement
-    return ALWAYS, list(rows)
-
-
-def _join_greedily(
-    interval: TimeInterval, rows: Sequence[TemporalTriple]
-) -> tuple[TimeInterval, list[TemporalTriple]]:
-    """Join `interval` with rows one at a time while the union stays
-    representable; which rows end up joined depends on their order. An
-    interval within one row is that row's duplicate."""
-    for existing in rows:
-        if Validity.during(interval).within(existing.validity.interval):
-            return existing.validity.interval, [existing]
-    merged = interval
-    absorbed = []
-    pool = list(rows)
-    changed = True
-    while changed:
-        changed = False
-        for existing in pool:
-            union = merge_if_coalescable(merged, existing.validity.interval)
-            if union is not None:
-                merged = union
-                absorbed.append(existing)
-                pool.remove(existing)
-                changed = True
-                break
-    return merged, absorbed
+    # together the rows cover every day: an unqualified statement, or one
+    # from the first day on for a membership, which needs an interval
+    return _ALL_DAYS if _requires_interval(pdef) else ALWAYS, list(rows)
 
 
 def _group(index: dict, term, prop) -> tuple[int, Iterable[TemporalTriple]]:

@@ -94,6 +94,36 @@ class TestImport:
         store = import_quads("")
         assert len(store) == 0
 
+    def test_all_time_membership_round_trips(self):
+        store, body = one_triple_store()
+        all_days = Validity.during(TimeInterval(TimePoint(1), None))
+        store.insert(TemporalTriple(
+            Iri(f"{BASE}/person/pA"), store.vocab.expand("isStudentOf"), body,
+            all_days, ProvenanceTag("pA", AUTHORITY)))
+        doc = export_quads(store)
+        assert len(re.findall(r'#validFrom> "0001" \.$', doc, re.M)) == 1
+        assert "#validTo>" not in doc
+        again = import_quads(doc)
+        assert again.sorted_triples() == store.sorted_triples()
+        assert export_quads(again) == doc
+
+    def test_split_all_time_membership_reimports_as_one_row(self):
+        # a file from before one row held an all-time membership, with the
+        # pair that one insert order left
+        store, body = one_triple_store()
+        student_of = store.vocab.expand("isStudentOf")
+        pair = [
+            TemporalTriple(Iri(f"{BASE}/person/pA"), student_of, body,
+                           Validity.during(TimeInterval(*bounds)),
+                           ProvenanceTag("pA", AUTHORITY))
+            for bounds in ((None, TimePoint(1996)), (TimePoint(1995), None))
+        ]
+        again = import_quads(_quad_text(store, store.sorted_triples() + pair))
+        rows = again.match(Pattern(property=student_of))
+        assert [t.validity for t in rows] == [
+            Validity.during(TimeInterval(TimePoint(1), None))]
+        assert len(again) == len(store) + 1
+
     def test_dangling_context(self):
         store, _ = one_triple_store()
         doc = export_quads(store)

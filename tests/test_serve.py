@@ -53,6 +53,14 @@ def test_unknown_entity_404(server):
     assert status == 404
 
 
+def test_unknown_entity_segment_404(server):
+    # only the segments entities are minted under are routed
+    base_url, _ = server
+    for segment in ("external", "vocab"):
+        status, _, _ = get(f"{base_url}/entity/{segment}/x")
+        assert status == 404
+
+
 def test_unknown_route_404(server):
     base_url, _ = server
     status, _, _ = get(f"{base_url}/some/other/path")

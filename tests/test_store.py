@@ -254,21 +254,23 @@ class TestInsert:
         labels = store.match(Pattern(subject=body, property=store.vocab.expand("label")))
         assert [t.validity for t in labels] == [Validity()]
 
-    def test_membership_rows_covering_all_time_stay_apart(self, seeded):
-        # a membership needs an interval, so an all-time union keeps two rows
-        store, person, body = seeded
-        for span in (("", "1990"), ("1995", "")):
-            store.insert(make_triple(store, person, "isStudentOf", body,
-                                     Validity.during(interval(*span))))
-        result = store.insert(make_triple(store, person, "isStudentOf", body,
-                                          Validity.during(interval("1989", "1996"))))
-        assert result.effect is Effect.COALESCED
-        rows = store.match(Pattern(subject=person, property=store.vocab.expand("isStudentOf")))
-        assert len(rows) == 2
-        assert all(not t.validity.is_always for t in rows)
-        days = set().union(*(interval_days(t.validity.interval) for t in rows))
-        assert days == interval_days(interval("", "1990")) | interval_days(
-            interval("1989", "1996")) | interval_days(interval("1995", ""))
+    def test_membership_rows_covering_all_time_become_one_row(self, seeded):
+        # a membership needs an interval, so an all-time union is one row
+        # from the first representable day on, in any insert order
+        seeded_store, person, body = seeded
+        all_days = Validity.during(interval("0001", ""))
+        statements = [make_triple(seeded_store, person, "isStudentOf", body,
+                                  Validity.during(interval(*span)))
+                      for span in (("", "1990"), ("1995", ""), ("1989", "1996"))]
+        for order in itertools.permutations(statements):
+            store = seeded_store.copy()
+            results = [store.insert(t) for t in order]
+            assert results[-1] == InsertResult(Effect.COALESCED, all_days)
+            rows = store.match(Pattern(subject=person, property=statements[0].property))
+            assert [t.validity for t in rows] == [all_days]
+            # a repeat of any of them, or of the row itself, is a duplicate
+            for t in statements + rows:
+                assert store.insert(t).effect is Effect.DUPLICATE
 
     def test_insert_into_copy_coalesces_and_leaves_original(self, seeded):
         store, person, body = seeded
@@ -301,7 +303,11 @@ class TestInsert:
 
 
 _BODY = Iri(f"{BASE}/body/b")
+_OTHER_BODY = Iri(f"{BASE}/body/c")
+_PERSON = Iri(f"{BASE}/person/p")
 _LABEL = DEFAULT_VOCAB.expand("label")
+_STUDENT_OF = DEFAULT_VOCAB.expand("isStudentOf")
+_ALL_DAYS = Validity.during(TimeInterval(TimePoint(1), None))
 
 
 @st.composite
@@ -319,28 +325,42 @@ def _points(draw):
 
 
 @st.composite
-def _validities(draw):
-    if draw(st.integers(0, 6)) == 0:
-        return Validity()
+def _intervals(draw):
     a, b = draw(_points()), draw(_points())
     if (a.first_day(), a.last_day()) > (b.first_day(), b.last_day()):
         a, b = b, a
     open_side = draw(st.sampled_from(["none"] * 4 + ["start", "end"]))
-    return Validity.during(TimeInterval(
-        None if open_side == "start" else a, None if open_side == "end" else b
-    ))
+    return TimeInterval(None if open_side == "start" else a, None if open_side == "end" else b)
 
 
 @st.composite
-def _statements(draw):
-    # two objects times two provenances: four keys on one subject
-    return TemporalTriple(
-        _BODY,
-        _LABEL,
-        Literal(draw(st.sampled_from(["B", "C"]))),
-        draw(_validities()),
-        prov(draw(st.sampled_from(["r1", "r2"]))),
-    )
+def _validities(draw):
+    if draw(st.integers(0, 6)) == 0:
+        return Validity()
+    return Validity.during(draw(_intervals()))
+
+
+@st.composite
+def _labels(draw):
+    # two objects times two provenances: four keys on one body
+    label = Literal(draw(st.sampled_from(["B", "C"])))
+    source = prov(draw(st.sampled_from(["r1", "r2"])))
+    return TemporalTriple(_BODY, _LABEL, label, draw(_validities()), source)
+
+
+@st.composite
+def _memberships(draw):
+    # two bodies times two provenances: four keys on one person
+    body = draw(st.sampled_from([_BODY, _OTHER_BODY]))
+    source = prov(draw(st.sampled_from(["r1", "r2"])))
+    return TemporalTriple(_PERSON, _STUDENT_OF, body, Validity.during(draw(_intervals())), source)
+
+
+# Keys never interact, so each list holds one kind of statement: its keys
+# then meet often enough to cover all time.
+_statement_lists = st.sampled_from([_labels, _memberships]).flatmap(
+    lambda statements: st.lists(statements(), min_size=1, max_size=8)
+)
 
 
 def _store_of(triples) -> Store:
@@ -357,15 +377,14 @@ def _key(t: TemporalTriple):
 class TestInsertOrder:
     """Coalescing keeps a canonical store whatever the insert order.
 
-    The statements use `label`, which may be unqualified, so rows whose
-    union covers all time become one unqualified row. A membership
-    property must keep an interval; there an all-time union stays split
-    in two rows, and which two depends on the insert order.
+    Rows of a `label` key whose union covers all time become one
+    unqualified row. `isStudentOf` must keep an interval, so there they
+    become one row from year 1 on.
     """
 
     @settings(max_examples=200, deadline=None)
     @given(
-        st.lists(_statements(), min_size=1, max_size=8).flatmap(
+        _statement_lists.flatmap(
             lambda triples: st.tuples(st.just(triples), st.permutations(triples))
         )
     )
@@ -374,7 +393,7 @@ class TestInsertOrder:
         assert _store_of(triples).sorted_triples() == _store_of(shuffled).sorted_triples()
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(_statements(), min_size=1, max_size=8))
+    @given(_statement_lists)
     def test_rows_of_a_key_are_the_union_of_its_statements(self, triples):
         store = _store_of(triples)
         universe = set(range(UNIVERSE_FIRST, UNIVERSE_LAST + 1))
@@ -386,7 +405,8 @@ class TestInsertOrder:
                 continue
             expected = set().union(*(interval_days(v.interval) for v in inserted))
             if expected == universe:
-                assert rows == [Validity()]
+                # not through interval_days: it would list every day from year 1
+                assert rows == [_ALL_DAYS if key[1] is _STUDENT_OF else Validity()]
                 continue
             assert all(not v.is_always for v in rows)
             stored = set().union(*(interval_days(v.interval) for v in rows))
